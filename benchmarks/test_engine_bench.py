@@ -8,7 +8,8 @@ Two rows land in ``BENCH_engine.json`` at the repo root:
   second. The refactor's acceptance bar, asserted here: >= 2x.
 * the 64-node x 32-thread DistMvee sweep, reported in host seconds —
   the credibility-scale configuration that motivated the refactor; it
-  must finish inside the CI smoke budget.
+  must finish inside the CI smoke budget, and its fresh child process
+  must peak under 100 MiB RSS.
 """
 
 import json
@@ -65,10 +66,11 @@ def test_sweep_64_nodes_32_threads(report):
     _record("sweep_64x32", row)
     table = Table(
         "DistMvee 64 nodes x 32 threads",
-        ["nodes", "threads", "host s", "virtual ms", "sim steps"],
+        ["nodes", "threads", "host s", "virtual ms", "sim steps", "peak MiB"],
     )
     table.add(row["nodes"], row["threads"], "%.2f" % row["host_seconds"],
-              "%.2f" % row["virtual_ms"], row["sim_steps"])
+              "%.2f" % row["virtual_ms"], row["sim_steps"],
+              "%.1f" % row["peak_rss_mb"])
     report(table.render())
 
     # "Completes in the CI smoke budget": generous ceiling so a loaded
@@ -76,3 +78,6 @@ def test_sweep_64_nodes_32_threads(report):
     # worse) on this 2048-lane configuration still fails loudly.
     budget_s = 120 if engine.smoke() else 600
     assert row["host_seconds"] < budget_s, row
+    # Guest memory is committed lazily: 2,048 mostly untouched 1 MiB
+    # malloc arenas must not cost 2 GiB of host memory.
+    assert row["peak_rss_mb"] < 100, row

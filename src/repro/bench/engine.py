@@ -16,14 +16,22 @@ refactor:
   collapses. CI asserts the new engine wins by >= 2x.
 * **64-node x 32-thread sweep** — the dMVX-credibility configuration
   the issue names: a :class:`repro.dist.DistMvee` run at 64 nodes with
-  a 32-thread workload, reported as host wall seconds. Must finish in
+  a 32-thread workload, reported as host wall seconds and as the peak
+  RSS of a fresh child process that runs only the sweep. Must finish in
   the CI smoke budget.
+
+``python -m repro.bench.engine sweep64`` runs the sweep in-process and
+prints its row as JSON.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import os
+import resource
+import subprocess
+import sys
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -233,9 +241,25 @@ def storm_rows() -> List[Dict]:
 # 64-node x 32-thread sweep
 # ---------------------------------------------------------------------------
 def sweep_64x32() -> Dict:
-    """One DistMvee run at the issue's credibility scale: 64 nodes, a
-    32-thread workload. Reported in host seconds; the CI smoke job is
-    the budget this must fit."""
+    """:func:`run_sweep_64x32` in a fresh child process, so the row's
+    ``peak_rss_mb`` counts the sweep alone, not whatever ran earlier in
+    this process."""
+    import repro
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.bench.engine", "sweep64"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_sweep_64x32() -> Dict:
+    """One DistMvee run at credibility scale, in this process: 64
+    nodes, a 32-thread workload. Reported in host seconds; the CI smoke
+    job is the budget this must fit."""
     from repro.core import DegradationPolicy, Level, ReMonConfig
     from repro.dist import DistConfig, DistMvee
     from repro.workloads.synthetic import CategoryMix, SyntheticWorkload, build_program
@@ -265,6 +289,7 @@ def sweep_64x32() -> Dict:
     start = time.perf_counter()
     result = mvee.run(max_steps=400_000_000)
     host_s = time.perf_counter() - start
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     assert not result.diverged, result.divergence
     assert result.exit_codes == [0] * 64, result.exit_codes
     return {
@@ -274,4 +299,11 @@ def sweep_64x32() -> Dict:
         "host_seconds": round(host_s, 3),
         "virtual_ms": round(result.wall_time_ns / 1e6, 3),
         "sim_steps": mvee.sim.steps,
+        "peak_rss_mb": round(peak_kib / 1024.0, 1),
     }
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["sweep64"]:
+        sys.exit("usage: python -m repro.bench.engine sweep64")
+    print(json.dumps(run_sweep_64x32()))

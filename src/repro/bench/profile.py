@@ -90,9 +90,9 @@ def _run_dist() -> None:
 
 
 def _run_sweep64() -> None:
-    from repro.bench.engine import sweep_64x32
+    from repro.bench.engine import run_sweep_64x32
 
-    sweep_64x32()
+    run_sweep_64x32()
 
 
 SWEEPS: Dict[str, Callable[[], None]] = {

@@ -19,9 +19,6 @@ from repro.kernel.memory import MemoryFault
 from repro.kernel.syscalls import SyscallRequest
 from repro.sim import Sleep
 
-# Initial stack size for each guest thread.
-STACK_SIZE = 1 << 20
-
 
 class GuestRuntime:
     """Loads a :class:`Program` into a process and runs its threads."""

@@ -10,11 +10,16 @@ replication buffer) reference a common :class:`SharedRegion`, so a write
 through one replica's mapping is visible through every other mapping of
 the same region, at whatever (different) virtual address each replica
 mapped it.
+
+Every :class:`SharedRegion` is backed by one anonymous host ``mmap``, so
+the host OS commits its memory lazily, a page at a time, on first write:
+a 1 MiB arena of which the guest touches one page costs one host page.
 """
 
 from __future__ import annotations
 
 import bisect
+import mmap
 from typing import List, Optional
 
 from repro.errors import KernelError
@@ -43,12 +48,21 @@ class MemoryFault(Exception):
 
 
 class SharedRegion:
-    """Backing store shared by multiple mappings (possibly cross-process)."""
+    """Backing store shared by multiple mappings (possibly cross-process).
+
+    ``data`` is a private anonymous host mapping of ``length`` bytes: it
+    reads as zeros and the host commits a page only when it is written.
+    It supports the buffer protocol, slicing, same-length slice
+    assignment and ``int`` item assignment, like a fixed-size bytearray.
+    Each live region costs at most one host VMA (Linux caps these per
+    process at ``vm.max_map_count``, 65530 by default); the mapping is
+    released when the region is garbage-collected.
+    """
 
     __slots__ = ("data", "name", "attach_count")
 
     def __init__(self, length: int, name: str = "shared"):
-        self.data = bytearray(length)
+        self.data = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)
         self.name = name
         self.attach_count = 0
 
@@ -105,7 +119,7 @@ def prot_str(prot: int) -> str:
 
 
 class AddressSpace:
-    """A sparse 47-bit virtual address space backed by bytearrays.
+    """A sparse 47-bit virtual address space backed by shared regions.
 
     Args:
         mmap_base: top of the mmap allocation area; fresh anonymous
