@@ -19,7 +19,7 @@ ioctl and futex need bespoke logic.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.policies import (
     RelaxationPolicy,
@@ -431,7 +431,3 @@ def build_handler_table(names) -> Dict[str, IpmonHandler]:
         cls = _CUSTOM.get(name, IpmonHandler)
         table[name] = cls(name)
     return table
-
-
-def handler_for(table: Dict[str, IpmonHandler], name: str) -> Optional[IpmonHandler]:
-    return table.get(name)

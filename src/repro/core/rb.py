@@ -269,10 +269,6 @@ class ReplicationBuffer:
             self.lanes[vtid] = lane
         return lane
 
-    def register_slave(self, replica_index: int) -> None:
-        for lane in self.lanes.values():
-            lane.consumed.setdefault(replica_index, lane.master_seq)
-
     def attach_slave_to_lane(self, lane: RBLane, replica_index: int) -> None:
         lane.consumed.setdefault(replica_index, 0)
 

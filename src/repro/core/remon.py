@@ -62,7 +62,6 @@ class ReMonConfig:
     aslr: bool = True
     dcl: bool = True
     allow_shared_memory: bool = False
-    use_rr_agent: bool = True
     temporal: Optional[object] = None  # a TemporalPolicy, if any
     #: Ablation knob (§3.7): disable futex condvars, slaves always spin.
     ipmon_force_spin: bool = False
@@ -183,7 +182,7 @@ class ReMon:
         # Record/replay agent for user-space synchronization.
         self.rr_agent = (
             RecordReplayAgent(kernel, self.config.replicas)
-            if self.config.use_rr_agent and self.config.replicas > 1
+            if self.config.replicas > 1
             else None
         )
 

@@ -70,10 +70,8 @@ from repro.dist.selective import (
 )
 from repro.dist.transport import CODECS, Channel, Transport
 from repro.dist.wire import (
-    DigestCache,
     F_CODED,
     Frame,
-    digest_cache,
     T_CALL_DIGEST,
     T_CONTROL,
     T_LIFECYCLE_GOSSIP,
@@ -139,9 +137,7 @@ __all__ = [
     "CODECS",
     "Channel",
     "Transport",
-    "DigestCache",
     "F_CODED",
-    "digest_cache",
     "Frame",
     "T_CALL_DIGEST",
     "T_CONTROL",

@@ -37,7 +37,6 @@ from repro.core.policies import Level
 from repro.core.remon import ReMonConfig, ReplicaGroup
 from repro.obs import Obs
 from repro.dist.node import DistInterceptor, Node, ReplicaView
-from repro.dist.reliable import CircuitBreaker, RetransmitPolicy
 from repro.dist.selective import (
     CLS_CONTROL,
     CLS_HANDOFF,
@@ -85,6 +84,23 @@ __all__ = [
     "shard_owner",  # re-exported from repro.dist.shard (HRW routing)
 ]
 
+#: Cores of every simulated node machine.
+NODE_CORES = 8
+#: Serialization bandwidth of every inter-node link (1 Gbit/s).
+LINK_BANDWIDTH_BPS = 1e9
+#: Rendezvous verdicts are applied on every node at a *scheduled*
+#: instant (owner completion + link latency + this slack) rather than
+#: at frame arrival: arrival-order release wakes threads in
+#: node-dependent order — variable batch serialization can swap two
+#: nearby releases, and the broadcaster itself would wake in completion
+#: order — which desynchronizes shared-namespace allocation (fd numbers,
+#: memory races) across nodes. The slack covers batch serialization and
+#: jitter so the release frame is physically on every node before its
+#: delivery time (urgent release batches are tens of bytes; an
+#: occasional frame landing after its instant only means the uniform
+#: apply ran a hair early).
+RELEASE_SLACK_NS = 2_000
+
 
 @dataclass
 class DistConfig:
@@ -92,10 +108,8 @@ class DistConfig:
 
     #: Node count (None = one node per replica from ReMonConfig.replicas).
     nodes: Optional[int] = None
-    node_cores: int = 8
-    #: One-way latency / bandwidth / jitter of every inter-node link.
+    #: One-way latency / jitter of every inter-node link.
     link_latency_ns: int = 100_000
-    link_bandwidth_bps: Optional[float] = 1e9
     link_jitter_ns: int = 0
     #: Transport coalescing: flush a channel at this many pending bytes
     #: or after this long, whichever comes first.
@@ -106,53 +120,20 @@ class DistConfig:
     )
     #: A node waiting longer than this on a peer declares it stalled.
     stall_timeout_ns: int = 400_000_000
-    backoff_initial_ns: int = 100_000
-    backoff_max_ns: int = 16_000_000
-    #: Crash-detection lag (None = costs.dist_crash_detect_ns + link latency).
-    crash_detect_ns: Optional[int] = None
     #: Fast path (off by default). ``shard_rendezvous`` spreads rendezvous
     #: rounds across nodes by (vtid, seq) hash instead of serializing them
     #: all through the leader's monitor; ``rendezvous_shards`` caps how
     #: many nodes own shards (None = every live node).
     shard_rendezvous: bool = False
     rendezvous_shards: Optional[int] = None
-    #: Rendezvous verdicts are applied on every node at a *scheduled*
-    #: instant (owner completion + link latency + this slack) rather
-    #: than at frame arrival: arrival-order release wakes threads in
-    #: node-dependent order — variable batch serialization can swap two
-    #: nearby releases, and the broadcaster itself would wake in
-    #: completion order — which desynchronizes shared-namespace
-    #: allocation (fd numbers, memory races) across nodes. The slack
-    #: covers batch serialization and jitter so the release frame is
-    #: physically on every node before its delivery time (urgent
-    #: release batches are tens of bytes; an occasional frame landing
-    #: after its instant only means the uniform apply ran a hair early).
-    release_slack_ns: int = 2_000
     #: RB mirror payload codec: None (raw), "rle", or "dict" (RLE plus a
     #: per-channel dictionary over repeated reads). See repro.dist.codec.
     compress: Optional[str] = None
-    #: WAN fault knobs applied to every inter-node link (per-link values
-    #: go through ``Network.set_link`` / ``LinkDegradeFault``). Any
-    #: nonzero probability auto-enables the reliable transport.
+    #: Segment loss probability of every inter-node link; nonzero arms
+    #: the reliable (seq/ack/retransmit) transport. Per-link
+    #: loss/dup/reorder go through ``LinkDegradeFault``, which arms it
+    #: too.
     link_loss_prob: float = 0.0
-    link_dup_prob: float = 0.0
-    link_reorder_prob: float = 0.0
-    #: Force the reliable (seq/ack/retransmit) transport on or off;
-    #: None = enable exactly when some link can lose/dup/reorder.
-    reliable_links: Optional[bool] = None
-    #: Retransmission backoff (see repro.dist.reliable.RetransmitPolicy)
-    #: and per-channel send window.
-    retransmit_initial_ns: int = 800_000
-    retransmit_cap_ns: int = 12_800_000
-    retransmit_window: int = 32
-    #: Per-link circuit breaker thresholds (repro.dist.reliable.
-    #: CircuitBreaker): consecutive retransmissions / slow RTT samples
-    #: that open a link, and the half-open probe cooldown schedule.
-    breaker_failure_threshold: int = 8
-    breaker_rtt_factor: float = 4.0
-    breaker_slow_threshold: int = 16
-    breaker_cooldown_ns: int = 50_000_000
-    breaker_cooldown_cap_ns: int = 400_000_000
     #: Observability (repro.obs.ObsConfig). None falls back to
     #: ``ReMonConfig.obs``, then to metrics-only defaults.
     obs: Optional[object] = None
@@ -666,7 +647,7 @@ class DistMvee:
         #: victim index -> set of (src, dst) links currently open against
         #: it; the victim is restored only when the set drains.
         self._down_links: Dict[int, set] = {}
-        self.sim = Simulator(cores=dconfig.node_cores * self.n)
+        self.sim = Simulator(cores=NODE_CORES * self.n)
         self.obs = Obs.create(
             dconfig.obs if dconfig.obs is not None
             else getattr(self.config, "obs", None),
@@ -676,12 +657,10 @@ class DistMvee:
             self.sim.trace_sink = self.obs.tracer
         self.network = Network(
             latency_ns=dconfig.link_latency_ns,
-            bandwidth_bps=dconfig.link_bandwidth_bps,
+            bandwidth_bps=LINK_BANDWIDTH_BPS,
             jitter_ns=dconfig.link_jitter_ns,
             jitter_seed=self.config.seed or 0x5EED,
             loss_prob=dconfig.link_loss_prob,
-            dup_prob=dconfig.link_dup_prob,
-            reorder_prob=dconfig.link_reorder_prob,
             fault_seed=(self.config.seed or 0) ^ 0xFA17,
         )
         self.nodes: List[Node] = []
@@ -745,7 +724,7 @@ class DistMvee:
         for index, layout in enumerate(layouts):
             kernel = Kernel(
                 sim=self.sim,
-                config=KernelConfig(cores=dconfig.node_cores),
+                config=KernelConfig(cores=NODE_CORES),
                 network=self.network,
             )
             kernel.attach_obs(self.obs)
@@ -781,10 +760,7 @@ class DistMvee:
         self.transport.obs = self.obs
         self.transport.dispatch = self._dispatch
         self.transport.stale_filter = self._stale_frame
-        reliable = dconfig.reliable_links
-        if reliable is None:
-            reliable = self.network.lossy()
-        if reliable:
+        if self.network.lossy():
             self._enable_reliable_transport()
 
     def _enable_reliable_transport(self) -> None:
@@ -793,21 +769,7 @@ class DistMvee:
         degradation path. Idempotent; must run before any traffic."""
         if self.transport.reliable:
             return
-        dconfig = self.dconfig
-        self.transport.enable_reliable(
-            policy=RetransmitPolicy(
-                initial_ns=dconfig.retransmit_initial_ns,
-                cap_ns=dconfig.retransmit_cap_ns,
-            ),
-            window=dconfig.retransmit_window,
-            breaker_factory=lambda: CircuitBreaker(
-                failure_threshold=dconfig.breaker_failure_threshold,
-                rtt_factor=dconfig.breaker_rtt_factor,
-                slow_threshold=dconfig.breaker_slow_threshold,
-                cooldown_ns=dconfig.breaker_cooldown_ns,
-                cooldown_cap_ns=dconfig.breaker_cooldown_cap_ns,
-            ),
-        )
+        self.transport.enable_reliable()
         self.transport.on_link_down = self._on_link_down
         self.transport.on_link_up = self._on_link_up
 
@@ -897,7 +859,7 @@ class DistMvee:
         visibility: verdicts are applied on every node (owner included)
         at owner-completion + this lag, so releases reach all nodes in
         one global order — see :meth:`DistMonitor._complete`."""
-        return self.dconfig.link_latency_ns + self.dconfig.release_slack_ns
+        return self.dconfig.link_latency_ns + RELEASE_SLACK_NS
 
     def missing_participant(self, vtid: int, seq: int,
                             reporter: int) -> Optional[int]:
@@ -1190,8 +1152,6 @@ class DistMvee:
         return self.nodes[0].kernel.config.costs
 
     def crash_detect_ns(self) -> int:
-        if self.dconfig.crash_detect_ns is not None:
-            return self.dconfig.crash_detect_ns
         return self._costs().dist_crash_detect_ns + self.dconfig.link_latency_ns
 
     def _wake_everyone(self) -> None:

@@ -53,6 +53,11 @@ from repro.kernel.vfs import OpenFileDescription
 from repro.kernel.waitq import wait_interruptible
 from repro.sim import Sleep
 
+#: Polling backoff of a node waiting on a peer: doubles from the first
+#: value up to the cap until the stall deadline fires.
+BACKOFF_INITIAL_NS = 100_000
+BACKOFF_MAX_NS = 16_000_000
+
 
 class NodeFdView:
     """FileMapView stand-in reading the node's own descriptor table.
@@ -541,7 +546,7 @@ class DistInterceptor:
         if observe is not None:
             observe(view, req)
         deadline = sim.now + dcfg.stall_timeout_ns
-        backoff = dcfg.backoff_initial_ns
+        backoff = BACKOFF_INITIAL_NS
         while True:
             record = node.mirror.get(thread.vtid, seq)
             if record is not None:
@@ -584,7 +589,7 @@ class DistInterceptor:
             if status != "fired":
                 node.mirror.waitq.unregister(event)
             mvee.stats["backoff_retries"] += 1
-            backoff = min(backoff * 2, dcfg.backoff_max_ns)
+            backoff = min(backoff * 2, BACKOFF_MAX_NS)
 
     # -- rendezvous lane ---------------------------------------------------
     def _rendezvous(self, thread, req, seq, digest):
@@ -656,7 +661,7 @@ class DistInterceptor:
         costs = node.kernel.config.costs
         dcfg = mvee.dconfig
         deadline = sim.now + dcfg.stall_timeout_ns
-        backoff = dcfg.backoff_initial_ns
+        backoff = BACKOFF_INITIAL_NS
         was_owner = node.index == mvee.shard_owner(vtid, seq)
         sent_epoch = mvee.epoch
         while True:
@@ -747,7 +752,7 @@ class DistInterceptor:
             if status != "fired":
                 waitq.unregister(event)
             mvee.stats["backoff_retries"] += 1
-            backoff = min(backoff * 2, dcfg.backoff_max_ns)
+            backoff = min(backoff * 2, BACKOFF_MAX_NS)
 
     # -- external-service accept lane --------------------------------------
     def _external_accept(self, thread, req, seq, digest):
@@ -807,7 +812,7 @@ class DistInterceptor:
         # Follower: wait for the leader's record, then adopt the fd.
         dcfg = mvee.dconfig
         deadline = sim.now + dcfg.stall_timeout_ns
-        backoff = dcfg.backoff_initial_ns
+        backoff = BACKOFF_INITIAL_NS
         while True:
             record = node.mirror.get(vtid, seq)
             if record is not None:
@@ -848,7 +853,7 @@ class DistInterceptor:
             if status != "fired":
                 node.mirror.waitq.unregister(event)
             mvee.stats["backoff_retries"] += 1
-            backoff = min(backoff * 2, dcfg.backoff_max_ns)
+            backoff = min(backoff * 2, BACKOFF_MAX_NS)
 
     def _materialize_accept(self, thread, req, record):
         """Install a phantom connection fd mirroring the leader's."""

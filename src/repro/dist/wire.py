@@ -51,7 +51,7 @@ import struct
 import zlib
 from typing import Dict, List, Tuple
 
-from repro.core.digests import DigestInterner, interner
+from repro.core.digests import interner
 from repro.errors import WireError
 
 MAGIC = 0xD15C
@@ -146,14 +146,6 @@ class Frame:
                 "flags=0x%04X, payload=%d bytes)"
                 % (self.type, self.sender, self.vtid, self.seq, self.aux,
                    self.flags, len(self.payload)))
-
-
-#: Backwards-compatible aliases: the wire-path digest cache is now the
-#: MVEE-wide interner in :mod:`repro.core.digests`, shared with the
-#: CP/IP-MON comparator so an identical blob hashes once per round, not
-#: once per replica per node per subsystem.
-DigestCache = DigestInterner
-digest_cache = interner
 
 
 def call_digest(name: str, blob_bytes: bytes) -> int:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.core.policies import Level
 from repro.core.remon import ReMonConfig
-from repro.dist.cluster import DistConfig, DistMvee
+from repro.dist.cluster import NODE_CORES, DistConfig, DistMvee
 from repro.dist.selective import fleet_replication
 from repro.fleet.admission import AdmissionConfig, AdmissionController
 from repro.guest import GuestRuntime
@@ -51,10 +51,6 @@ class FleetConfig:
     connect_pace_ns: int = 20_000
     request_pace_ns: int = 0
     link_latency_ns: int = 20_000
-    client_cores: int = 8
-    #: Disarm the controller before the client's shutdown connection so
-    #: QUIT always drains the run deterministically.
-    drain_admission: bool = True
     max_steps: int = 400_000_000
     obs: Optional[object] = None
 
@@ -128,7 +124,8 @@ def run_fleet(config: FleetConfig) -> FleetResult:
     client_kernel = Kernel(
         sim=mvee.sim,
         network=mvee.network,
-        config=KernelConfig(cores=config.client_cores),
+        # The client host is one more node-sized machine on the switch.
+        config=KernelConfig(cores=NODE_CORES),
     )
     result = ClientResult()
     mux = MuxClientSpec(
@@ -138,7 +135,9 @@ def run_fleet(config: FleetConfig) -> FleetResult:
         connect_pace_ns=config.connect_pace_ns,
         request_pace_ns=config.request_pace_ns,
         response_bytes=spec.response_bytes,
-        drain_hook=controller.disarm if config.drain_admission else None,
+        # Disarm the controller before the client's shutdown connection
+        # so QUIT always drains the run deterministically.
+        drain_hook=controller.disarm,
     )
     leader_ip = mvee.nodes[mvee.leader_index].host_ip
     program = build_mux_client_program(leader_ip, spec.port, mux, result)

@@ -11,6 +11,9 @@ from repro.kernel.syscalls import syscall
 from repro.kernel.waitq import wait_interruptible
 from repro.sim import Event
 
+#: Total RAM that sysinfo reports (64 GiB); half of it reads as free.
+MEMORY_BYTES = 64 << 30
+
 
 @syscall("getpid")
 def sys_getpid(kernel, thread):
@@ -96,8 +99,8 @@ def sys_sysinfo(kernel, thread, buf):
         0,  # loads[0]
         0,
         0,
-        kernel.config.memory_bytes,
-        kernel.config.memory_bytes // 2,
+        MEMORY_BYTES,
+        MEMORY_BYTES // 2,
         0,
         0,
     )

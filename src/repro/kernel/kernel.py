@@ -34,13 +34,9 @@ class KernelConfig:
     """Machine-wide configuration."""
 
     cores: int = 16
-    memory_bytes: int = 64 << 30
     costs: CostModel = field(default_factory=CostModel)
     network_latency_ns: int = 100_000  # one-way; ~0.1 ms gigabit LAN
     loopback_latency_ns: int = 5_000
-    network_bandwidth_bps: Optional[float] = None  # None = infinite
-    network_jitter_ns: int = 0
-    random_seed: int = 0x5EED
 
 
 class Kernel:
@@ -56,16 +52,14 @@ class Kernel:
         self.network = network or Network(
             latency_ns=self.config.network_latency_ns,
             loopback_latency_ns=self.config.loopback_latency_ns,
-            bandwidth_bps=self.config.network_bandwidth_bps,
-            jitter_ns=self.config.network_jitter_ns,
-            jitter_seed=self.config.random_seed,
         )
         self.futexes = FutexManager()
         self.shm = ShmManager()
         self.processes: Dict[int, Process] = {}
         self.threads: Dict[int, Thread] = {}
         self._ids = itertools.count(1000)
-        self._rng_state = self.config.random_seed or 1
+        #: getrandom() stream: a fixed-seed LCG, so runs are deterministic.
+        self._rng_state = 0x5EED
         #: Interposition points, tried in order, before ptrace and the
         #: real handler. ReMon's IK-B broker installs itself here.
         self.syscall_hooks: List = []

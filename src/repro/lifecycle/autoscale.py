@@ -3,19 +3,13 @@
 The thesis: an MVEE's wait histograms move *before* its verdicts do. A
 node that is about to stall shows up first as p99 drift in
 ``dist_rendezvous_wait_ns`` / ``dist_monitor_wait_ns`` /
-``fleet_accept_wait_ns`` and as rendezvous rounds that stay open missing
-exactly its vote — long before the (400 ms-scale) rendezvous stall
-watchdog declares anyone faulted. The watchdog samples those signals
-every ``watch_interval_ns`` of virtual time and drives two actuators:
-
-* **scale** — sustained p99 drift across ``drift_windows`` consecutive
-  windows raises the rendezvous shard count by one (HRW makes the
-  owner-set change minimal-disruption and clean changes need no epoch
-  bump); sustained quiet lowers it back toward ``min_shards``.
-* **proactive quarantine** — a round that stays open for
-  ``stuck_round_ticks`` windows, where one node accounts for the
-  missing votes, gets that node quarantined-and-replaced *before* an
-  actual divergence or stall timeout.
+``fleet_accept_wait_ns`` — long before the (400 ms-scale) rendezvous
+stall watchdog declares anyone faulted. The watchdog samples those
+signals every ``WATCH_INTERVAL_NS`` (``repro.lifecycle.manager``) of
+virtual time: sustained p99 drift across ``drift_windows`` consecutive
+windows raises the rendezvous shard count by one (HRW makes the
+owner-set change minimal-disruption and clean changes need no epoch
+bump); sustained quiet lowers it back toward one shard.
 
 Windowed p99 is computed from bucket-count deltas between samples, so a
 long healthy history cannot mask a fresh drift. Everything is driven by
@@ -25,11 +19,14 @@ virtual time and histogram state — no RNG — so runs stay bit-identical.
 from __future__ import annotations
 
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: The always-on wait histograms the watchdog samples.
 WATCHED = ("dist_rendezvous_wait_ns", "dist_monitor_wait_ns",
            "fleet_accept_wait_ns")
+#: Windowed p99 must exceed baseline p99 by this factor to count as a
+#: drifting window.
+DRIFT_FACTOR = 4.0
 
 
 def _delta_p99(bounds, prev_counts, counts, hist_max) -> Optional[int]:
@@ -72,23 +69,19 @@ class _Signal:
 
 class DriftWatchdog:
     """Pure decision logic; the LifecycleManager owns the timer and the
-    actuators (shard-count mutation, quarantine) it recommends."""
+    shard-count actuator it recommends to."""
 
     def __init__(self, config):
         self.config = config
         self._signals: Dict[str, _Signal] = {name: _Signal() for name in WATCHED}
         self._drift_streak = 0
         self._quiet_streak = 0
-        #: round key -> consecutive ticks observed still-open.
-        self._stuck: Dict[tuple, int] = {}
         self.stats = {
             "ticks": 0,
             "drift_windows": 0,
             "scale_up_votes": 0,
             "scale_down_votes": 0,
         }
-
-    # -- histogram drift ----------------------------------------------
 
     def observe_histograms(self, histograms: Dict[str, object]) -> int:
         """Sample the watched histograms; returns +1 (scale up), -1
@@ -104,7 +97,7 @@ class DriftWatchdog:
             if p99 is None or signal.baseline_p99 is None:
                 continue
             sampled += 1
-            if p99 >= signal.baseline_p99 * self.config.drift_factor:
+            if p99 >= signal.baseline_p99 * DRIFT_FACTOR:
                 drifting += 1
             elif p99 <= signal.baseline_p99:
                 quiet += 1
@@ -127,35 +120,3 @@ class DriftWatchdog:
             self.stats["scale_down_votes"] += 1
             return -1
         return 0
-
-    # -- stuck-round attribution --------------------------------------
-
-    def observe_rounds(
-        self, open_rounds: Dict[tuple, Tuple[int, ...]]
-    ) -> Optional[int]:
-        """Track rounds that stay open tick after tick.
-
-        ``open_rounds`` maps round key -> indices whose vote is still
-        missing. Returns the node to blame once some round has been
-        stuck for ``stuck_round_ticks`` ticks and a single node accounts
-        for a strict majority of all stuck rounds' missing votes.
-        """
-        stuck_next: Dict[tuple, int] = {}
-        blame: Dict[int, int] = {}
-        total_missing = 0
-        for key, missing in open_rounds.items():
-            ticks = self._stuck.get(key, 0) + 1
-            stuck_next[key] = ticks
-            if ticks >= self.config.stuck_round_ticks:
-                for node in missing:
-                    blame[node] = blame.get(node, 0) + 1
-                    total_missing += 1
-        self._stuck = stuck_next
-        if not blame:
-            return None
-        candidate = min(
-            blame, key=lambda node: (-blame[node], node)
-        )
-        if blame[candidate] * 2 > total_missing:
-            return candidate
-        return None

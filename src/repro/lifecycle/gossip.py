@@ -39,7 +39,7 @@ class GossipAgent:
     """One node's membership view plus the SWIM merge/beat/check logic."""
 
     def __init__(self, index: int, n: int, *, suspicion_timeout_ns: int,
-                 fanout: int, seed: int,
+                 seed: int, fanout: int = 2,
                  on_dead: Optional[Callable[[int, int], None]] = None):
         self.index = index
         self.n = n
@@ -58,6 +58,10 @@ class GossipAgent:
         #: ceil(peers/fanout) beats, so inter-contact silence is bounded
         #: and a healthy cluster never falsely suspects anyone.
         self._cycle: List[int] = []
+        #: Senders of direct frames we still hold dead: the next beat
+        #: answers them, so a node isolated behind its own obituary
+        #: hears it and can refute it.
+        self._answer: List[int] = []
         self.beats_sent = 0
 
     # -- view ----------------------------------------------------------
@@ -82,11 +86,16 @@ class GossipAgent:
         """Pick this beat's seeded fanout of gossip targets.
 
         Beating also reconfirms our own liveness and incarnation in the
-        outgoing view (``view()`` is what the caller ships).
+        outgoing view (``view()`` is what the caller ships). A node that
+        holds every peer dead keeps cycling through all of them: its
+        view is the only way back for it, and the answers it draws carry
+        the obituary it has to refute.
         """
         self.states[self.index] = GOSSIP_ALIVE
         self.last_heard[self.index] = now
         peers = self.alive_peers()
+        if not peers:
+            peers = [i for i in range(self.n) if i != self.index]
         want = min(self.fanout, len(peers))
         targets: List[int] = []
         while len(targets) < want:
@@ -97,6 +106,10 @@ class GossipAgent:
             peer = self._cycle.pop(0)
             if peer in peers and peer not in targets:
                 targets.append(peer)
+        for peer in self._answer:
+            if peer not in targets:
+                targets.append(peer)
+        self._answer = []
         self.beats_sent += 1
         return sorted(targets)
 
@@ -130,6 +143,13 @@ class GossipAgent:
                 self.states[node] = state
                 if state == GOSSIP_DEAD:
                     self._fire_dead(node, incarnation)
+        if (
+            0 <= sender < self.n
+            and sender != self.index
+            and self.states[sender] == GOSSIP_DEAD
+            and sender not in self._answer
+        ):
+            self._answer.append(sender)
 
     def check(self, now: int) -> List[Tuple[int, int]]:
         """Age the view: promote silent peers to suspect/dead.

@@ -18,9 +18,7 @@ The manager owns three loops, all on the cluster's virtual clock:
   live frontier — at which point it is re-admitted under a bumped
   ownership epoch and votes like everyone else.
 * **drift watchdog** — a periodic tick sampling the always-on wait
-  histograms and the open rendezvous rounds; sustained p99 drift
-  scales the shard count, and a node that keeps whole rounds open is
-  proactively quarantined-and-replaced before a divergence.
+  histograms; sustained p99 drift scales the shard count.
 
 Nothing here exists unless a :class:`LifecycleConfig` is attached:
 lifecycle-free runs take zero new frames, zero new stats, and stay
@@ -32,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.events import DivergenceReport
+from repro.dist.cluster import NODE_CORES
 from repro.dist.node import DistInterceptor, ReplicaView
 from repro.dist.remote_rb import RBMirror
 from repro.dist.selective import CLS_HANDOFF, CLS_LIFECYCLE
@@ -56,6 +55,14 @@ from repro.lifecycle.autoscale import DriftWatchdog
 from repro.lifecycle.config import LifecycleConfig
 from repro.lifecycle.window import RECORD, ReplayWindow
 
+#: Interval between one node's heartbeats.
+HEARTBEAT_INTERVAL_NS = 1_000_000
+#: Drift-watchdog sampling interval.
+WATCH_INTERVAL_NS = 2_000_000
+#: Rendezvous shard-count bounds the auto-scaler moves within.
+MIN_SHARDS = 1
+MAX_SHARDS = 8
+
 
 class LifecycleManager:
     """The elastic-lifecycle controller attached to one DistMvee."""
@@ -77,7 +84,6 @@ class LifecycleManager:
                 GossipAgent(
                     index, mvee.n,
                     suspicion_timeout_ns=config.suspicion_timeout_ns,
-                    fanout=config.gossip_fanout,
                     seed=seed,
                     on_dead=lambda peer, inc, i=index: self._on_agent_dead(
                         i, peer, inc
@@ -113,6 +119,8 @@ class LifecycleManager:
             "replayed_local": 0,
             "scale_ups": 0,
             "scale_downs": 0,
+            # Never incremented: the pinned homogeneous lifecycle stats
+            # view (tests/diversity/golden_hetero_stats.json) carries it.
             "proactive_quarantines": 0,
         }
 
@@ -125,11 +133,6 @@ class LifecycleManager:
         """Gossip silence replaces the crash-detect timeout when armed."""
         return self.gossip_on
 
-    def provision_ns(self) -> int:
-        if self.config.provision_ns is not None:
-            return self.config.provision_ns
-        return self.mvee._costs().lifecycle_provision_ns
-
     def _halted(self) -> bool:
         mvee = self.mvee
         return mvee.shutting_down or mvee.diverged or mvee.group.all_exited()
@@ -138,7 +141,7 @@ class LifecycleManager:
     # Heartbeats + gossip
     # ------------------------------------------------------------------
     def start(self) -> None:
-        interval = self.config.heartbeat_interval_ns
+        interval = HEARTBEAT_INTERVAL_NS
         if self.gossip_on:
             for index in range(self.mvee.n):
                 # Stagger first beats so N nodes never flush one synchronized
@@ -146,7 +149,7 @@ class LifecycleManager:
                 offset = interval * (index + 1) // (self.mvee.n + 1)
                 self.sim.call_at(interval + offset, self._beat, index)
         if self.watchdog is not None:
-            self.sim.call_at(self.config.watch_interval_ns, self._watch_tick)
+            self.sim.call_at(WATCH_INTERVAL_NS, self._watch_tick)
 
     def _beat(self, index: int) -> None:
         if self._halted():
@@ -174,7 +177,7 @@ class LifecycleManager:
                 mvee._costs().lifecycle_heartbeat_ns
             )
         self.sim.call_at(
-            self.sim.now + self.config.heartbeat_interval_ns,
+            self.sim.now + HEARTBEAT_INTERVAL_NS,
             self._beat, index,
         )
 
@@ -247,7 +250,8 @@ class LifecycleManager:
             "kind": report.kind,
         }
         self.sim.call_at(
-            self.sim.now + self.provision_ns(), self._provision, index
+            self.sim.now + self.mvee._costs().lifecycle_provision_ns,
+            self._provision, index,
         )
 
     def _provision(self, index: int) -> None:
@@ -269,7 +273,6 @@ class LifecycleManager:
             return
         mvee = self.mvee
         node = mvee.nodes[index]
-        dconfig = mvee.dconfig
         old_kernel = node.kernel
         # Re-imaging wipes the node's TCP state: listeners the dead
         # kernel registered in the shared network would otherwise shadow
@@ -282,7 +285,7 @@ class LifecycleManager:
                 del network.listeners[key]
         kernel = Kernel(
             sim=self.sim,
-            config=KernelConfig(cores=dconfig.node_cores),
+            config=KernelConfig(cores=NODE_CORES),
             network=mvee.network,
         )
         kernel.attach_obs(mvee.obs)
@@ -441,7 +444,6 @@ class LifecycleManager:
         if self._halted():
             return
         mvee = self.mvee
-        config = self.config
         dconfig = mvee.dconfig
         decision = self.watchdog.observe_histograms(
             mvee.obs.registry.histograms
@@ -452,7 +454,7 @@ class LifecycleManager:
             and dconfig.rendezvous_shards is not None
         ):
             shards = dconfig.rendezvous_shards
-            if decision > 0 and shards < config.max_shards:
+            if decision > 0 and shards < MAX_SHARDS:
                 # Clean membership change: HRW remaps ~1/N of new rounds,
                 # open rounds stay addressable via their hosting shard,
                 # and no epoch bump is needed.
@@ -463,7 +465,7 @@ class LifecycleManager:
                     mvee.obs.tracer.instant(
                         "lifecycle", "scale_up", shards=shards + 1,
                     )
-            elif decision < 0 and shards > config.min_shards:
+            elif decision < 0 and shards > MIN_SHARDS:
                 dconfig.rendezvous_shards = shards - 1
                 self.stats["scale_downs"] += 1
                 mvee.monitor.on_membership_change()
@@ -471,41 +473,7 @@ class LifecycleManager:
                     mvee.obs.tracer.instant(
                         "lifecycle", "scale_down", shards=shards - 1,
                     )
-        participants = mvee.participants()
-        open_rounds = {}
-        for shard in mvee.monitor._shards.values():
-            if shard.dead:
-                continue
-            for key, state in shard.open_rounds():
-                missing = tuple(
-                    p for p in participants if p not in state.digests
-                )
-                if missing:
-                    open_rounds[key] = missing
-        blame = self.watchdog.observe_rounds(open_rounds)
-        if blame is not None and config.proactive_quarantine:
-            node = mvee.nodes[blame]
-            process = node.process
-            if (
-                not process.exited
-                and not process.quarantined
-                and not node.rejoining
-            ):
-                self.stats["proactive_quarantines"] += 1
-                report = DivergenceReport(
-                    self.sim.now,
-                    0,
-                    "",
-                    "lifecycle watchdog: node %d holds open rounds "
-                    "(drift); proactive quarantine-and-replace" % blame,
-                    detected_by="lifecycle-watchdog",
-                    kind="stall",
-                )
-                report.replica = blame
-                mvee.replica_fault(process, report)
-        self.sim.call_at(
-            self.sim.now + config.watch_interval_ns, self._watch_tick
-        )
+        self.sim.call_at(self.sim.now + WATCH_INTERVAL_NS, self._watch_tick)
 
     # ------------------------------------------------------------------
     # Finalize / attribution

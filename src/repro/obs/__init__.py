@@ -2,7 +2,7 @@
 
 Three instruments behind one hub:
 
-* :class:`MetricsRegistry` — counters, gauges, mergeable fixed-bucket
+* :class:`MetricsRegistry` — counters, mergeable fixed-bucket
   histograms on virtual nanoseconds, plus a compatibility adapter that
   serves the legacy ``RunResult.stats`` mapping from ingested component
   stats dicts.
@@ -27,7 +27,6 @@ from repro.obs.hub import Obs
 from repro.obs.metrics import (
     DEFAULT_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BOUNDS",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricsDiffError",
     "MetricsRegistry",

@@ -2,10 +2,10 @@
 
 ``ObsConfig`` is frozen so it can key ``lru_cache``'d bench helpers and
 ride inside :class:`~repro.core.remon.ReMonConfig` without aliasing
-runtime state. The default configuration is *metrics-only*: counters,
-gauges, and histograms are host-side bookkeeping with zero virtual-time
-cost, so a default-configured run is byte-identical in virtual wall time
-to one with no obs at all. Spans and the flight recorder each charge a
+runtime state. The default configuration is *metrics-only*: counters
+and histograms are host-side bookkeeping with zero virtual-time cost,
+so a default-configured run is byte-identical in virtual wall time to
+one with no obs at all. Spans and the flight recorder each charge a
 small deterministic virtual cost at the choke points they instrument
 (``CostModel.obs_span_ns`` / ``obs_event_ns``).
 """

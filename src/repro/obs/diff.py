@@ -1,9 +1,9 @@
 """Cross-run metric diffing over Prometheus text exports.
 
 :meth:`MetricsRegistry.to_prometheus` is the registry's durable
-serialization: everything the live registry knows — counters, gauges,
-histogram buckets, the legacy stats view — survives the round trip
-through the text exposition format. This module parses such exports
+serialization: everything the live registry knows — counters,
+histogram buckets, the legacy stats view (as gauges) — survives the
+round trip through the text exposition format. This module parses such exports
 back into mergeable snapshots so two runs can be compared *after the
 fact*, without replaying either one:
 

@@ -1,5 +1,5 @@
-"""Metrics primitives: counters, gauges, mergeable fixed-bucket
-histograms, and the registry that also serves the legacy ``stats`` view.
+"""Metrics primitives: counters, mergeable fixed-bucket histograms, and
+the registry that also serves the legacy ``stats`` view.
 
 Histograms are keyed on virtual nanoseconds and use a fixed log-spaced
 bucket layout (three buckets per decade from 100 ns to 10 s), so two
@@ -33,25 +33,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value that can move both ways."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def inc(self, amount=1) -> None:
-        self.value += amount
-
-    def dec(self, amount=1) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -153,13 +134,12 @@ class MetricsRegistry:
     rebuilds the flat merged mapping on demand — byte-identical to the
     old hand-prefixed assembly in ``ReMon.finalize``. Derived scalars
     that never lived in a component dict go in via :meth:`expose`.
-    Native metrics (counters/gauges/histograms) are *not* part of the
+    Native metrics (counters/histograms) are *not* part of the
     stats view; they surface through :meth:`to_prometheus`.
     """
 
     def __init__(self):
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         # (prefix, source-key) -> live stats mapping, insertion-ordered.
         self._ingested: Dict[Tuple[str, object], Dict] = {}
@@ -170,12 +150,6 @@ class MetricsRegistry:
         metric = self.counters.get(name)
         if metric is None:
             metric = self.counters[name] = Counter(name)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self.gauges.get(name)
-        if metric is None:
-            metric = self.gauges[name] = Gauge(name)
         return metric
 
     def histogram(self, name: str,
@@ -218,11 +192,6 @@ class MetricsRegistry:
             full = _prom_name(prefix + name)
             lines.append("# TYPE %s counter" % full)
             lines.append("%s %d" % (full, metric.value))
-        for name in sorted(self.gauges):
-            metric = self.gauges[name]
-            full = _prom_name(prefix + name)
-            lines.append("# TYPE %s gauge" % full)
-            lines.append("%s %s" % (full, metric.value))
         for name in sorted(self.histograms):
             metric = self.histograms[name]
             full = _prom_name(prefix + name)

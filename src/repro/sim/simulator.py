@@ -43,7 +43,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.effects import Effect, Event, Sleep, Spawn, WaitEvent
+from repro.sim.effects import Event
 
 # Sentinel distinguishing "timeout expired" from a fired event.
 _TIMED_OUT = object()
@@ -58,23 +58,18 @@ class TraceEvent:
     ``("ghumvee", "rendezvous")``); free-form context rides in ``attrs``.
     """
 
-    __slots__ = ("time_ns", "kind", "component", "name", "dur_ns", "attrs",
-                 "_message")
+    __slots__ = ("time_ns", "kind", "component", "name", "dur_ns", "attrs")
 
-    def __init__(self, time_ns, kind, component, name, dur_ns=0, attrs=None,
-                 message=None):
+    def __init__(self, time_ns, kind, component, name, dur_ns=0, attrs=None):
         self.time_ns = time_ns
         self.kind = kind
         self.component = component
         self.name = name
         self.dur_ns = dur_ns
         self.attrs = attrs or {}
-        self._message = message
 
     def message(self) -> str:
-        """Human-readable rendering (what legacy callables receive)."""
-        if self._message is not None:
-            return self._message
+        """Human-readable one-line rendering."""
         parts = ["%s.%s" % (self.component, self.name)]
         if self.kind == "span":
             parts.append("dur=%dns" % self.dur_ns)
@@ -97,18 +92,6 @@ class TraceEvent:
     def __repr__(self):
         return "TraceEvent(%d, %s, %s)" % (self.time_ns, self.kind,
                                            self.message())
-
-
-class _LegacyTraceAdapter:
-    """Wraps an old-style ``(time_ns, message)`` callable as an event sink."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def emit(self, event: TraceEvent) -> None:
-        self.fn(event.time_ns, event.message())
 
 
 class Task:
@@ -191,25 +174,18 @@ class Simulator:
             sleeps (``Sleep(ns, cpu=True)``) are stretched when more of
             them are active than there are cores, which is how the model
             accounts for replicas competing for the machine.
-        trace: optional event sink for debug tracing. Either an object
-            with an ``emit(event: TraceEvent)`` method (the typed form,
-            e.g. ``repro.obs.Tracer``) or a legacy
-            ``(time_ns, message)`` callable, which is wrapped in an
-            adapter that renders each event to a string.
+        trace: optional event sink for debug tracing: an object with an
+            ``emit(event: TraceEvent)`` method, e.g. ``repro.obs.Tracer``.
     """
 
-    def __init__(self, cores: int = 16, trace: Optional[Callable] = None):
+    def __init__(self, cores: int = 16, trace: Optional[Any] = None):
         if cores < 1:
             raise ValueError("a machine needs at least one core")
+        if trace is not None and not callable(getattr(trace, "emit", None)):
+            raise TypeError("trace sink needs an emit(event) method: %r" % (trace,))
         self.cores = cores
         self.now = 0
-        self.trace = trace
-        if trace is None:
-            self.trace_sink = None
-        elif hasattr(trace, "emit"):
-            self.trace_sink = trace
-        else:
-            self.trace_sink = _LegacyTraceAdapter(trace)
+        self.trace_sink = trace
         # Calendar queue: per-timestamp FIFO buckets plus a heap over the
         # *distinct* timestamps. Within a bucket, append order is global
         # seq order (the counter is monotone), so FIFO-per-timestamp
@@ -386,9 +362,9 @@ class Simulator:
             return
         # Effect dispatch: a class-level int tag instead of an
         # isinstance chain (one attribute load resolves the kind). The
-        # sleep and wait arms are _do_sleep/_do_wait inlined — together
-        # they are the busiest call sites in the whole system, and the
-        # call overhead alone is measurable on storm workloads.
+        # sleep and wait arms are inlined rather than helper calls —
+        # together they are the busiest call sites in the whole system,
+        # and the call overhead alone is measurable on storm workloads.
         try:
             kind = item._effect_kind
         except AttributeError:
@@ -451,27 +427,7 @@ class Simulator:
             self.trace_sink.emit(TraceEvent(
                 self.now, "instant", "sim", "task-failed",
                 attrs={"task": task.name, "failure": repr(failure)},
-                message="task %s failed: %r" % (task.name, failure),
             ))
-
-    def _dispatch(self, task: Task, item: Effect) -> None:
-        """Compatibility shim over the inlined effect dispatch."""
-        try:
-            kind = item._effect_kind
-        except AttributeError:
-            kind = -1
-        if kind == 1:
-            self._do_sleep(task, item)
-        elif kind == 2:
-            self._do_wait(task, item)
-        elif kind == 3:
-            child = self.spawn(item.gen, item.name)
-            self._schedule(self.now, (self._step, (task, child, None)))
-        else:
-            exc = SimulationError(
-                "task %s yielded a non-effect: %r" % (task.name, item)
-            )
-            self._schedule(self.now, (self._step, (task, None, exc)))
 
     def _wakeup(self, task: Task, kind: int) -> _Wakeup:
         pool = self._wakeup_pool
@@ -482,29 +438,6 @@ class Simulator:
             record.kind = kind
             return record
         return _Wakeup(task, task._wait_epoch, kind)
-
-    def _do_sleep(self, task: Task, item: Sleep) -> None:
-        ns = item.ns
-        if item.cpu:
-            self._cpu_active += 1
-            factor = max(1.0, self._cpu_active / float(self.cores))
-            ns = int(ns * factor)
-            self._schedule(self.now + ns, self._wakeup(task, _WAKE_CPU))
-        else:
-            self._schedule(self.now + ns, self._wakeup(task, _WAKE_SLEEP))
-
-    def _do_wait(self, task: Task, item: WaitEvent) -> None:
-        event = item.event
-        if event.fired:
-            self._schedule(
-                self.now, (self._step, (task, (True, event.value), None))
-            )
-            return
-        event._waiters.append((task, task._wait_epoch))
-        if item.timeout_ns is not None:
-            self._schedule(
-                self.now + item.timeout_ns, self._wakeup(task, _WAKE_TIMEOUT)
-            )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,11 +1,10 @@
 """Drift watchdog + auto-scaler decision logic (DESIGN.md §12).
 
 The watchdog is pure decision logic over histogram *deltas*: windowed
-p99 against the first window's baseline for scaling, and stuck-round
-vote attribution for proactive quarantine. These tests drive it with
-real ``repro.obs`` histograms so the bucketing math is the production
-math, then one end-to-end smoke run proves the armed watchdog stays
-deterministic and invisible to a healthy cluster.
+p99 against the first window's baseline for scaling. These tests drive
+it with real ``repro.obs`` histograms so the bucketing math is the
+production math, then one end-to-end smoke run proves the armed
+watchdog stays deterministic and invisible to a healthy cluster.
 """
 
 from __future__ import annotations
@@ -103,36 +102,6 @@ class TestScaling:
         assert watchdog.stats["scale_down_votes"] == 0
 
 
-class TestStuckRounds:
-    def test_single_culprit_blamed_after_threshold(self):
-        watchdog = DriftWatchdog(_config(stuck_round_ticks=3))
-        rounds = {(0, 1, 7): (2,), (1, 3, 9): (2,)}
-        assert watchdog.observe_rounds(rounds) is None
-        assert watchdog.observe_rounds(rounds) is None
-        assert watchdog.observe_rounds(rounds) == 2
-
-    def test_split_blame_returns_none(self):
-        watchdog = DriftWatchdog(_config(stuck_round_ticks=1))
-        rounds = {(0, 1, 7): (2,), (1, 3, 9): (3,)}
-        assert watchdog.observe_rounds(rounds) is None
-
-    def test_strict_majority_required(self):
-        watchdog = DriftWatchdog(_config(stuck_round_ticks=1))
-        # Node 2 misses two rounds of four missing votes total: exactly
-        # half, not a strict majority.
-        rounds = {(0, 1, 7): (2, 3), (1, 3, 9): (2, 4)}
-        assert watchdog.observe_rounds(rounds) is None
-        rounds = {(0, 1, 7): (2,), (1, 3, 9): (2, 4)}
-        assert watchdog.observe_rounds(rounds) == 2
-
-    def test_closed_round_resets_its_counter(self):
-        watchdog = DriftWatchdog(_config(stuck_round_ticks=2))
-        assert watchdog.observe_rounds({(0, 1, 7): (2,)}) is None
-        assert watchdog.observe_rounds({}) is None  # round completed
-        assert watchdog.observe_rounds({(0, 1, 7): (2,)}) is None
-        assert watchdog.observe_rounds({(0, 1, 7): (2,)}) == 2
-
-
 class TestEndToEnd:
     def test_armed_watchdog_is_quiet_on_a_healthy_cluster(self):
         mvee, result = run_lifecycle(
@@ -140,7 +109,7 @@ class TestEndToEnd:
         )
         assert not result.diverged, result.divergence
         assert result.stats["lifecycle_watch_ticks"] > 0
-        assert result.stats["lifecycle_proactive_quarantines"] == 0
+        assert result.stats["lifecycle_scale_ups"] == 0
         assert [node.process.exit_code for node in mvee.nodes] == [0] * 4
 
     def test_armed_watchdog_runs_stay_bit_identical(self):

@@ -18,7 +18,7 @@ cheap enough for Hypothesis to sweep seeds.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dist.wire import GOSSIP_ALIVE, GOSSIP_DEAD, GOSSIP_SUSPECT
@@ -170,6 +170,11 @@ class TestConvergence:
         reorder=st.booleans(),
         n=st.integers(3, 6),
     )
+    # Isolation regressions: one node held every peer dead (so it had no
+    # beat targets) while every peer held it dead at the same
+    # incarnation, so it never heard its own obituary to refute it.
+    @example(seed=2102024, loss_seed=86773, loss_permille=392, reorder=True, n=5)
+    @example(seed=696, loss_seed=6, loss_permille=389, reorder=True, n=6)
     def test_views_converge_under_loss_and_reorder(
         self, seed, loss_seed, loss_permille, reorder, n
     ):

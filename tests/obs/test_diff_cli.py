@@ -21,7 +21,8 @@ from repro.obs.metrics import MetricsRegistry
 def _registry(wait_values, wall_ns, rounds, canonical_values=()):
     registry = MetricsRegistry()
     registry.counter("faults_injected_total").inc(2)
-    registry.gauge("replicas_live").set(3)
+    # The stats view is the gauge family: exported as repro_stat_* gauges.
+    registry.expose("replicas_live", 3)
     hist = registry.histogram("dist_monitor_wait_ns")
     for value in wait_values:
         hist.observe(value)
@@ -39,7 +40,7 @@ class TestRoundTrip:
         registry = _registry([500, 900, 3000], 123_456, 10)
         snap = Snapshot.parse(registry.to_prometheus())
         assert snap.scalars["repro_faults_injected_total"] == 2
-        assert snap.scalars["repro_replicas_live"] == 3
+        assert snap.scalars["repro_stat_replicas_live"] == 3
         assert snap.scalars["repro_stat_wall_time_ns"] == 123_456
         hist = snap.histograms["repro_dist_monitor_wait_ns"]
         assert hist.count == 3

@@ -95,7 +95,6 @@ class TestRegistryAdapter:
     def test_metric_instances_are_get_or_create(self):
         registry = MetricsRegistry()
         assert registry.counter("c") is registry.counter("c")
-        assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
 
 
@@ -103,14 +102,14 @@ class TestPrometheusExport:
     def test_export_renders_all_metric_kinds(self):
         registry = MetricsRegistry()
         registry.counter("calls_total").inc(3)
-        registry.gauge("depth").set(2)
+        registry.expose("depth", 2)
         hist = registry.histogram("wait_ns")
         hist.observe(150)
         hist.observe(10**12)  # overflow bucket
         registry.ingest("dist_", {"nodes": 3, "name": "notnumeric"}, source="m")
         text = registry.to_prometheus()
         assert "# TYPE repro_calls_total counter\nrepro_calls_total 3" in text
-        assert "# TYPE repro_depth gauge\nrepro_depth 2" in text
+        assert "# TYPE repro_stat_depth gauge\nrepro_stat_depth 2" in text
         assert "# TYPE repro_wait_ns histogram" in text
         assert 'repro_wait_ns_bucket{le="+Inf"} 2' in text
         assert "repro_wait_ns_count 2" in text

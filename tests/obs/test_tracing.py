@@ -1,5 +1,7 @@
 """Span tracing: the zero-cost-when-disabled contract, choke-point span
-coverage, and the typed simulator trace sink (with its legacy shim)."""
+coverage, and the typed simulator trace sink."""
+
+import pytest
 
 from repro.core import Level, ReMon, ReMonConfig
 from repro.guest.program import Program
@@ -107,12 +109,11 @@ class TestSimulatorTraceSink:
         assert event.attrs["task"] == "worker"
         assert "boom" in event.attrs["failure"]
 
-    def test_legacy_callable_shim_keeps_exact_message(self):
-        lines = []
-        sim = Simulator(trace=lambda t, msg: lines.append((t, msg)))
-        sim.spawn(self._failing_task(), "worker")
-        sim.run()
-        assert lines == [(10, "task worker failed: RuntimeError('boom')")]
+    def test_sink_without_emit_is_rejected(self):
+        with pytest.raises(TypeError):
+            Simulator(trace=lambda t, msg: None)
+        with pytest.raises(TypeError):
+            Simulator(trace=object())
 
     def test_trace_event_formats_and_serializes(self):
         event = TraceEvent(42, "span", "kernel", "syscall", dur_ns=7,
