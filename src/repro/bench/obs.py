@@ -24,7 +24,7 @@ from repro.kernel import Kernel
 from repro.obs import ObsConfig, write_postmortem, write_prometheus, write_trace_jsonl
 from repro.workloads.calibrate import calibrate
 from repro.workloads.profiles import derive_workload
-from repro.workloads.synthetic import build_program
+from repro.workloads.synthetic import SyntheticWorkload, build_program
 
 #: Figure-3 subset swept by the overhead bench (full vs CI smoke).
 BENCHES_FULL = ("blackscholes", "dedup", "streamcluster", "swaptions")
@@ -32,11 +32,14 @@ BENCHES_SMOKE = ("blackscholes", "dedup")
 LEVELS = (Level.NO_IPMON, Level.NONSOCKET_RW)
 
 
-def _run(bench_name: str, level: Level, obs_cfg: Optional[ObsConfig]):
+def _workload(bench_name: str) -> SyntheticWorkload:
+    """The (scaled) fitted profile of one Figure-3 benchmark."""
+    return _scaled(derive_workload(_find_bench(bench_name), calibrate()))
+
+
+def _run(workload: SyntheticWorkload, level: Level, obs_cfg: Optional[ObsConfig]):
     """One fresh (uncached) MVEE run; returns (result, mvee) so callers
     can read the live registry/tracer, which lru-cached helpers hide."""
-    bench = _find_bench(bench_name)
-    workload = _scaled(derive_workload(bench, calibrate()))
     program = build_program(workload)
     kernel = Kernel()
     mvee = ReMon(kernel, program, ReMonConfig(level=level, obs=obs_cfg))
@@ -50,15 +53,14 @@ def overhead_rows() -> List[Dict]:
     benches = BENCHES_SMOKE if smoke() else BENCHES_FULL
     rows: List[Dict] = []
     for name in benches:
-        bench = _find_bench(name)
-        workload = _scaled(derive_workload(bench, calibrate()))
+        workload = _workload(name)
         native_ns = run_native(build_program(workload)).wall_time_ns
         for level in LEVELS:
-            base, _ = _run(name, level, None)
-            metrics, metrics_mvee = _run(name, level, ObsConfig())
-            spans, spans_mvee = _run(name, level, ObsConfig(spans=True))
+            base, _ = _run(workload, level, None)
+            metrics, metrics_mvee = _run(workload, level, ObsConfig())
+            spans, spans_mvee = _run(workload, level, ObsConfig(spans=True))
             full, full_mvee = _run(
-                name, level, ObsConfig(spans=True, flight_recorder=True)
+                workload, level, ObsConfig(spans=True, flight_recorder=True)
             )
             hist = metrics_mvee.obs.registry.histograms["rendezvous_wait_ns"]
             recorder = full_mvee.obs.recorder
@@ -119,7 +121,7 @@ def write_artifacts(
     """Produce the CI artifacts: a traced clean run (JSON-lines trace +
     Prometheus export) and a seeded-divergence postmortem."""
     _result, mvee = _run(
-        "blackscholes",
+        _workload("blackscholes"),
         Level.NONSOCKET_RW,
         ObsConfig(spans=True, flight_recorder=True),
     )

@@ -8,6 +8,7 @@ functions by cumulative time::
     python -m repro.bench.profile remon       # single-node ReMon sweep
     python -m repro.bench.profile dist        # distributed lanes
     python -m repro.bench.profile sweep64     # 64-node x 32-thread run
+    python -m repro.bench.profile parsec-setup  # calibration + 12 PARSEC fits
     python -m repro.bench.profile storm --top 40 --sort tottime
 
 (The PR-8 engine refactor was scoped from exactly this view: ``_step``,
@@ -95,11 +96,21 @@ def _run_sweep64() -> None:
     run_sweep_64x32()
 
 
+def _run_parsec_setup() -> None:
+    from repro.workloads.calibrate import calibrate
+    from repro.workloads.profiles import PARSEC_BENCHMARKS, derive_workload
+
+    cal = calibrate()
+    for bench in PARSEC_BENCHMARKS:
+        derive_workload(bench, cal)
+
+
 SWEEPS: Dict[str, Callable[[], None]] = {
     "storm": _run_storm,
     "remon": _run_remon,
     "dist": _run_dist,
     "sweep64": _run_sweep64,
+    "parsec-setup": _run_parsec_setup,
 }
 
 

@@ -18,12 +18,20 @@ Inversions in the paper's data (an IP-MON bar slightly *above* the
 GHUMVEE bar, e.g. ferret) are measurement noise; the derivation clamps
 those deltas at zero, so our reproduction reports the envelope instead
 of reproducing the noise.
+
+The fits are host-specific. They run through numpy's CPU-dispatched
+kernels: ``numpy.expm1`` differs by an ulp between SIMD targets, and
+``numpy.argsort`` orders ties differently between them, and the
+Nelder–Mead trajectory (:mod:`repro.workloads.fit`) follows both. So
+the fitted rates, and the Fig. 3/4 numbers built on them, can differ in
+their last bits from one CPU to another; making them portable would
+change the model's outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import Level
 from repro.workloads.calibrate import Calibration, calibrate
@@ -84,6 +92,11 @@ _LEVEL_ORDER = [
     Level.SOCKET_RW,
 ]
 
+#: ``_EXEMPT[level][idx]``: is bundle ``idx`` unmonitored at ``level``?
+#: Indexed by the level's value, so the fit's hot loop does no enum
+#: compares.
+_EXEMPT = tuple(tuple(lvl <= level for lvl in _LEVEL_ORDER) for level in sorted(Level))
+
 
 def predict_overhead(
     level: Level,
@@ -107,36 +120,44 @@ def predict_overhead(
     t_i = cal.t_ipmon_ns / 1e9
     monitored = mgmt_rate
     unmonitored = 0.0
-    for idx, lvl in enumerate(_LEVEL_ORDER):
-        if lvl <= level:
-            unmonitored += bundle_rates[idx]
+    for exempt, rate in zip(_EXEMPT[level], bundle_rates):
+        if exempt:
+            unmonitored += rate
         else:
-            monitored += bundle_rates[idx]
+            monitored += rate
     per_thread = (monitored * t_m + unmonitored * t_i) / max(1, threads)
     compute_bound = 1.0 + pressure + per_thread
     monitor_bound = monitored * t_m
     return max(compute_bound, monitor_bound)
 
 
-def derive_workload(
-    bench: PaperBenchmark,
-    cal: Optional[Calibration] = None,
-    native_ms: float = 40.0,
-    seed: int = 7,
-) -> SyntheticWorkload:
-    """Invert the paper's overhead series into category call rates.
+def _clip(value: float, low: float, high: float) -> float:
+    """``np.clip`` on one float, including its keeping of ``-0.0``."""
+    return low if value < low else high if value > high else value
 
-    Uses bounded least squares over the analytic model above: unknowns
-    are the five per-level traffic bundles, the always-monitored
-    management rate, and the cache-pressure term (bounded by the
-    benchmark's pressure cap).
+
+#: Nelder–Mead settings of every profile fit.
+FIT_OPTIONS = {"maxiter": 6000, "xatol": 1e-6, "fatol": 1e-10}
+
+
+def fit_problem(
+    bench: PaperBenchmark, cal: Calibration
+) -> Tuple[Callable[[Sequence[float]], float], List[float], Callable]:
+    """The profile fit of ``bench``: ``(objective, theta0, unpack)``.
+
+    ``theta`` holds the five per-level traffic bundles and the
+    always-monitored management rate, as ``log1p`` of calls/s clipped
+    to [0, 20], then the cache-pressure term, clipped to [0, the
+    benchmark's pressure cap]. ``objective(theta)`` is the squared
+    relative error of :func:`predict_overhead` against the observed
+    levels; ``unpack(theta)`` returns ``(bundles, mgmt_rate, pressure)``.
     """
+    # Imported here, not at module level, so that importing the
+    # benchmark tables does not load numpy.
     import numpy as np
-    from scipy.optimize import minimize
 
-    cal = cal or calibrate()
     series = bench.full_series()
-    observed_levels = sorted(bench.targets)
+    observed = [(lvl, max(1.0, bench.targets[lvl])) for lvl in sorted(bench.targets)]
     t_m = cal.t_mon_ns / 1e9
     t_i = cal.t_ipmon_ns / 1e9
 
@@ -154,35 +175,46 @@ def derive_workload(
     # Optimize in log space (rates span decades); Nelder-Mead copes with
     # the compute/monitor-bound kink in the model.
     def unpack(theta):
-        bundles = np.expm1(np.clip(theta[:5], 0.0, 20.0))
-        mgmt = float(np.expm1(np.clip(theta[5], 0.0, 20.0)))
-        pressure = float(np.clip(theta[6], 0.0, bench.pressure_cap))
-        return bundles, mgmt, pressure
+        rates = np.expm1([_clip(v, 0.0, 20.0) for v in theta[:6]]).tolist()
+        return rates[:5], rates[5], _clip(theta[6], 0.0, bench.pressure_cap)
 
     def objective(theta):
         bundles, mgmt, pressure = unpack(theta)
         err = 0.0
-        for lvl in observed_levels:
-            target = max(1.0, bench.targets[lvl])
+        for lvl, target in observed:
             pred = predict_overhead(lvl, bundles, mgmt, pressure, bench.threads, cal)
             err += ((pred - target) / target) ** 2
         # Weak preference for exempt-category attribution over mgmt.
         err += (1e-3 * mgmt * t_m) ** 2
         return err
 
-    theta0 = np.array([np.log1p(max(0.0, v)) for v in x0[:6]] + [x0[6]])
-    best = minimize(
-        objective,
-        theta0,
-        method="Nelder-Mead",
-        options={"maxiter": 6000, "xatol": 1e-6, "fatol": 1e-10},
-    )
-    bundles, mgmt_rate, pressure = unpack(best.x)
+    theta0 = np.log1p([max(0.0, v) for v in x0[:6]]).tolist() + [x0[6]]
+    return objective, theta0, unpack
+
+
+def derive_workload(
+    bench: PaperBenchmark,
+    cal: Optional[Calibration] = None,
+    native_ms: float = 40.0,
+    seed: int = 7,
+) -> SyntheticWorkload:
+    """Invert the paper's overhead series into category call rates.
+
+    Fits :func:`fit_problem` with Nelder–Mead
+    (:mod:`repro.workloads.fit`): a search in log space, with clipping,
+    over the five per-level traffic bundles, the always-monitored
+    management rate and the cache-pressure term.
+    """
+    from repro.workloads.fit import minimize  # imports numpy; see fit_problem
+
+    cal = cal or calibrate()
+    objective, theta0, unpack = fit_problem(bench, cal)
+    bundles, mgmt_rate, pressure = unpack(minimize(objective, theta0, **FIT_OPTIONS).x)
 
     rates: Dict[str, float] = {}
     for idx, lvl in enumerate(_LEVEL_ORDER):
         for category, share in LEVEL_CATEGORIES[lvl]:
-            value = float(bundles[idx]) * share
+            value = bundles[idx] * share
             if value > 1.0:
                 rates[category] = rates.get(category, 0.0) + value
     if mgmt_rate > 1.0:
