@@ -33,12 +33,20 @@ def _scaled(workload):
     return replace(workload, native_ms=max(2.0, workload.native_ms * scale))
 
 
+@lru_cache(maxsize=128)
+def _fitted(bench_name: str):
+    """The fitted workload of one suite benchmark and its native wall
+    time: both depend on the benchmark alone, so every level and
+    replica count shares one fit and one native run."""
+    workload = _scaled(derive_workload(_find_bench(bench_name), calibrate()))
+    return workload, run_native(build_program(workload)).wall_time_ns
+
+
 @lru_cache(maxsize=512)
 def measure_mvee_overhead(
     bench_name: str,
     level: Level,
     replicas: int = 2,
-    _suite_key: str = "",
     obs=None,
 ) -> float:
     """Normalized execution time of one suite benchmark at one level.
@@ -47,10 +55,7 @@ def measure_mvee_overhead(
     resolved by name from the registered suites. ``obs`` is an optional
     (frozen, hashable) :class:`repro.obs.ObsConfig`.
     """
-    bench = _find_bench(bench_name)
-    workload = _scaled(derive_workload(bench, calibrate()))
-    program = build_program(workload)
-    native = run_native(program)
+    workload, native_ns = _fitted(bench_name)
     kernel = Kernel()
     mvee = ReMon(
         kernel,
@@ -63,7 +68,7 @@ def measure_mvee_overhead(
             "benchmark %s diverged under %s: %r"
             % (bench_name, level.name, result.divergence)
         )
-    return result.wall_time_ns / max(1, native.wall_time_ns)
+    return result.wall_time_ns / max(1, native_ns)
 
 
 def timed_exhibit_run(level: Level = Level.NONSOCKET_RW, replicas: int = 2) -> float:

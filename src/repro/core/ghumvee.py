@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.core.comparator import compare_requests
 from repro.core.events import DivergenceReport
+from repro.core.policies import STALL_BACKOFF_ATTEMPTS, STALL_BACKOFF_MAX_NS
 from repro.kernel import constants as C
 from repro.kernel import errno_codes as E
 from repro.kernel.memory import MemoryFault
@@ -193,14 +194,14 @@ class LockstepContext:
                 return
             if len(self.entry_stops) >= ghumvee.live_replica_count():
                 return
-            if policy is not None and attempt + 1 < policy.stall_backoff_attempts:
+            if policy is not None and attempt + 1 < STALL_BACKOFF_ATTEMPTS:
                 # Bounded exponential backoff: give genuinely slow
                 # replicas a doubled window before declaring a stall.
                 ghumvee.stats["rendezvous_backoff_retries"] += 1
                 self._arm_stall_watchdog(
                     stop,
                     attempt=attempt + 1,
-                    timeout_ns=min(timeout_ns * 2, policy.stall_backoff_max_ns),
+                    timeout_ns=min(timeout_ns * 2, STALL_BACKOFF_MAX_NS),
                 )
                 return
             arrived = sorted(self.entry_stops)

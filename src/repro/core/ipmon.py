@@ -31,6 +31,11 @@ from repro.core.handlers import (
     MASTERCALL,
     build_handler_table,
 )
+from repro.core.policies import (
+    RB_BACKOFF_INITIAL_NS,
+    RB_BACKOFF_MAX_NS,
+    RB_WAIT_TIMEOUT_NS,
+)
 from repro.core.rb import (
     FLAG_FORWARDED,
     FLAG_MAY_BLOCK,
@@ -367,7 +372,7 @@ class IpmonReplica:
         # with a no-progress deadline, after which the most-lagged slave
         # is reported as stalled (and possibly quarantined).
         policy = group.remon.config.degradation
-        backoff = policy.rb_backoff_initial_ns if policy is not None else 0
+        backoff = RB_BACKOFF_INITIAL_NS if policy is not None else 0
         waited = 0
         last_progress = min(lane.consumed.values()) if lane.consumed else 0
         obs = group.obs
@@ -397,8 +402,8 @@ class IpmonReplica:
                     waited = 0
                 else:
                     waited += backoff
-                backoff = min(backoff * 2, policy.rb_backoff_max_ns)
-                if waited >= policy.rb_wait_timeout_ns:
+                backoff = min(backoff * 2, RB_BACKOFF_MAX_NS)
+                if waited >= RB_WAIT_TIMEOUT_NS:
                     self._lane_stall(thread, req, lane)
                     waited = 0
                     last_progress = (
@@ -547,7 +552,7 @@ class IpmonReplica:
         # stalled; a promotion observed mid-wait re-roles this replica.
         group.rb.attach_slave_to_lane(lane, self.replica_index)
         policy = group.remon.config.degradation
-        backoff = policy.rb_backoff_initial_ns if policy is not None else 0
+        backoff = RB_BACKOFF_INITIAL_NS if policy is not None else 0
         waited = 0
         while True:
             if self.is_master and lane.next_record_for(self.replica_index) is None:
@@ -568,8 +573,8 @@ class IpmonReplica:
                 lane.args_waitq.unregister(event)
                 group.stats["rb_backoff_retries"] += 1
                 waited += backoff
-                backoff = min(backoff * 2, policy.rb_backoff_max_ns)
-                if waited >= policy.rb_wait_timeout_ns:
+                backoff = min(backoff * 2, RB_BACKOFF_MAX_NS)
+                if waited >= RB_WAIT_TIMEOUT_NS:
                     self._master_stall(thread, req, lane)
                     waited = 0
 
@@ -669,7 +674,7 @@ class IpmonReplica:
         policy = group.remon.config.degradation
         may_block = bool(flags & FLAG_MAY_BLOCK)
         use_futex = may_block and not group.force_spin
-        backoff = policy.rb_backoff_initial_ns if policy is not None else 0
+        backoff = RB_BACKOFF_INITIAL_NS if policy is not None else 0
         waited = 0
         while True:
             state = record.state()
@@ -710,8 +715,8 @@ class IpmonReplica:
             if result == -E.ETIMEDOUT:
                 group.stats["rb_backoff_retries"] += 1
                 waited += backoff
-                backoff = min(backoff * 2, policy.rb_backoff_max_ns)
-                if waited >= policy.rb_wait_timeout_ns:
+                backoff = min(backoff * 2, RB_BACKOFF_MAX_NS)
+                if waited >= RB_WAIT_TIMEOUT_NS:
                     self._master_stall(thread, req, record.lane)
                     waited = 0
                 continue

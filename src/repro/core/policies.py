@@ -222,6 +222,19 @@ class RelaxationPolicy:
         return "RelaxationPolicy(%s)" % self.level.name
 
 
+#: Under a DegradationPolicy, the rendezvous stall watchdog re-arms with
+#: a doubled timeout (capped) this many times before declaring the
+#: laggards faulted.
+STALL_BACKOFF_ATTEMPTS = 3
+STALL_BACKOFF_MAX_NS = 8_000_000_000
+#: RB slot acquisition / record waits: bounded exponential backoff...
+RB_BACKOFF_INITIAL_NS = 2_000_000
+RB_BACKOFF_MAX_NS = 64_000_000
+#: ...until a replica has waited this long on an RB peer with no
+#: progress, when the peer is declared faulted.
+RB_WAIT_TIMEOUT_NS = 1_000_000_000
+
+
 @dataclass
 class DegradationPolicy:
     """Graceful-degradation policy: which replica faults the MVEE may
@@ -249,16 +262,6 @@ class DegradationPolicy:
     #: in-flight IP-MON call (a benign fault under DMON's fault model;
     #: slightly weakens §3.1's single-issue property, see DESIGN.md).
     reissue_lost_tokens: bool = True
-    #: Rendezvous stall watchdog: re-arm with doubled timeout this many
-    #: times before declaring the laggards faulted.
-    stall_backoff_attempts: int = 3
-    stall_backoff_max_ns: int = 8_000_000_000
-    #: RB slot acquisition / record waits: bounded exponential backoff.
-    rb_backoff_initial_ns: int = 2_000_000
-    rb_backoff_max_ns: int = 64_000_000
-    #: Total time a replica may wait on an RB peer with no progress
-    #: before the peer is declared faulted.
-    rb_wait_timeout_ns: int = 1_000_000_000
 
     def __post_init__(self):
         if self.min_quorum < 1:

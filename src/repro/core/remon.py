@@ -52,6 +52,180 @@ class ReplicaGroup:
         return len(self.processes)
 
 
+class ReplicaSupervisor:
+    """Run state and replica-fault policy shared by every MVEE monitor.
+
+    The paper's monitor fail-stops on the first divergence (§3.3); a
+    :class:`DegradationPolicy` relaxes a benign crash or stall into N−1
+    continuation with master promotion (DMON-style). That policy is the
+    same whether the replicas share one kernel under ptrace
+    (:class:`ReMon`) or run one per node (:class:`repro.dist.DistMvee`),
+    so it lives here, with the run state both keep (group, result,
+    obs hub, degradation counters). A subclass supplies only what
+    differs:
+
+    * :meth:`_teardown_delay_ns` — how long the kill takes to land;
+    * :meth:`_quarantined` — what a quarantine must release (tracer
+      attachments and RB lanes, or shard ownership and mirrors) and how
+      a new master is chosen;
+    * :meth:`_record_postmortem` — the monitor-specific attribution.
+    """
+
+    def __init__(self, config, sim, width: int):
+        self.config = config
+        self.sim = sim
+        self.group = ReplicaGroup()
+        self.epoll_map = EpollShadowMap(width)
+        self.result = MveeResult()
+        self.shutting_down = False
+        self.master_exit_ns: Optional[int] = None
+        self.degradation_stats = {
+            "replicas_quarantined": 0,
+            "master_promotions": 0,
+        }
+        self.obs = Obs.create(config.obs, sim)
+        if self.obs.tracer.enabled and sim.trace_sink is None:
+            sim.trace_sink = self.obs.tracer
+
+    def _teardown_delay_ns(self) -> int:
+        raise NotImplementedError
+
+    def _quarantined(self, process, index: int, was_master: bool,
+                     report: DivergenceReport) -> None:
+        raise NotImplementedError
+
+    def _record_postmortem(self, reason: str, report: DivergenceReport) -> None:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
+    def run(self, until: Optional[int] = None, max_steps: Optional[int] = None) -> MveeResult:
+        self.start()
+        self.sim.run(until=until, max_steps=max_steps)
+        return self.finalize()
+
+    def _settle(self) -> MveeResult:
+        """The finalize steps every monitor shares: surface a surviving
+        replica's guest failure, then fill in exit codes and wall time."""
+        for process in self.group.processes:
+            if process.quarantined:
+                # A quarantined replica was killed mid-flight by design;
+                # whatever its guest task raised *is* the absorbed fault.
+                continue
+            for thread in process.threads.values():
+                task = thread.task
+                if task is not None and task.failure is not None:
+                    raise task.failure
+        result = self.result
+        result.exit_codes = [p.exit_code for p in self.group.processes]
+        result.wall_time_ns = (
+            self.master_exit_ns
+            if self.master_exit_ns is not None
+            else self.sim.now
+        )
+        return result
+
+    def _expose_degradation(self, registry) -> None:
+        injector = getattr(self.group.processes[0].kernel, "fault_injector", None)
+        registry.expose(
+            "faults_injected",
+            injector.total_injected if injector is not None else 0,
+        )
+        registry.expose(
+            "replicas_quarantined",
+            self.degradation_stats["replicas_quarantined"],
+        )
+        registry.expose(
+            "master_promotions", self.degradation_stats["master_promotions"]
+        )
+
+    # ------------------------------------------------------------------
+    # Events
+    # ------------------------------------------------------------------
+    def divergence(self, report: DivergenceReport) -> None:
+        if self.shutting_down or self.result.divergence is not None:
+            return
+        self.result.divergence = report
+        self._record_postmortem("divergence", report)
+        reason = "divergence: %s" % report.detail
+        if self.group.all_exited():
+            # Nothing left to kill, and the simulator clock may already
+            # have stopped advancing — scheduling a delayed shutdown
+            # would either be a no-op or raise for being in the past.
+            if not self.result.shutdown_reason:
+                self.result.shutdown_reason = reason
+            return
+        # Detection is not teardown: the monitor must reach every
+        # replica to kill it (see _teardown_delay_ns).
+        self.sim.call_at(
+            self.sim.now + self._teardown_delay_ns(), self.shutdown, reason
+        )
+
+    def shutdown(self, reason: str) -> None:
+        if self.shutting_down:
+            return
+        self.shutting_down = True
+        self.result.shutdown_reason = reason
+        for process in self.group.processes:
+            if not process.exited:
+                process.kernel.terminate_process(process, 137, signo=9)
+
+    # ------------------------------------------------------------------
+    # Graceful degradation (config.degradation)
+    # ------------------------------------------------------------------
+    def _survivors_excluding(self, process) -> List:
+        return [
+            p
+            for p in self.group.processes
+            if p is not process and not p.exited and not p.quarantined
+        ]
+
+    def replica_fault(self, process, report: DivergenceReport) -> None:
+        """A replica crashed or stalled. Quarantine it when the policy
+        classifies the fault benign and quorum holds; otherwise take the
+        classic fail-stop path via :meth:`divergence`."""
+        if self.shutting_down or self.diverged or process.quarantined:
+            return
+        policy = self.config.degradation
+        if policy is None or policy.classify(report) != "benign":
+            self.divergence(report)
+            return
+        survivors = self._survivors_excluding(process)
+        if len(survivors) < policy.min_quorum:
+            report.detail += " [quorum lost: %d survivors < min_quorum %d]" % (
+                len(survivors),
+                policy.min_quorum,
+            )
+            self.divergence(report)
+            return
+        self.quarantine(process, report)
+
+    def quarantine(self, process, report: DivergenceReport) -> None:
+        """Remove one replica from the group and continue with N−1 (the
+        paper's fail-stop policy relaxed to a quorum rule; every
+        *mismatch* still fail-stops). Losing the master without
+        ``promote_master`` fail-stops too."""
+        index = self.group.index_of(process)
+        was_master = index == self.group.master_index
+        policy = self.config.degradation
+        if was_master and (policy is None or not policy.promote_master):
+            self.divergence(report)
+            return
+        process.quarantined = True
+        self.result.fault_events.append(report)
+        if report.replica is None:
+            report.replica = index
+        self.result.quarantined_replicas.append(index)
+        self.degradation_stats["replicas_quarantined"] += 1
+        self._record_postmortem("quarantine", report)
+        self._quarantined(process, index, was_master, report)
+
+    @property
+    def diverged(self) -> bool:
+        return self.result.diverged
+
+
 @dataclass
 class ReMonConfig:
     """Configuration for one MVEE instance."""
@@ -90,7 +264,7 @@ class ReMonConfig:
         return RelaxationPolicy(self.level, temporal=self.temporal)
 
 
-class ReMon:
+class ReMon(ReplicaSupervisor):
     """A configured MVEE supervising N replicas of one program.
 
     Typical use::
@@ -101,23 +275,16 @@ class ReMon:
     """
 
     def __init__(self, kernel, program: Program, config: Optional[ReMonConfig] = None):
+        config = config or ReMonConfig()
+        if config.replicas < 1:
+            raise MonitorError("an MVEE needs at least one replica")
+        super().__init__(config, kernel.sim, config.replicas)
         self.kernel = kernel
         self.program = program
-        self.config = config or ReMonConfig()
-        if self.config.replicas < 1:
-            raise MonitorError("an MVEE needs at least one replica")
         self.policy = self.config.policy()
-        self.group = ReplicaGroup()
         self.fd_metadata = MonitorFdTable()
-        self.epoll_map = EpollShadowMap(self.config.replicas)
-        self.result = MveeResult()
-        self.shutting_down = False
         #: Exceptions from monitor coroutines; surfaced by finalize().
         self.monitor_failures: List[BaseException] = []
-        self.degradation_stats = {
-            "replicas_quarantined": 0,
-            "master_promotions": 0,
-        }
         self.layouts = make_layouts(
             self.config.replicas,
             seed=self.config.seed,
@@ -126,8 +293,6 @@ class ReMon:
         )
         self._runtimes: List[GuestRuntime] = []
         self._started = False
-        self.master_exit_ns: Optional[int] = None
-        self.obs = Obs.create(self.config.obs, kernel.sim)
         self._build()
 
     # ------------------------------------------------------------------
@@ -136,8 +301,6 @@ class ReMon:
     def _build(self) -> None:
         kernel = self.kernel
         kernel.attach_obs(self.obs)
-        if self.obs.tracer.enabled and kernel.sim.trace_sink is None:
-            kernel.sim.trace_sink = self.obs.tracer
         self.program.install_files(kernel)
         pressure = kernel.config.costs.memory_pressure_per_replica
         sensitivity = getattr(self.program, "cache_sensitivity", 1.0)
@@ -241,11 +404,6 @@ class ReMon:
                 if not replica.process.exited:
                     replica.remap_rb()
 
-    def run(self, until: Optional[int] = None, max_steps: Optional[int] = None) -> MveeResult:
-        self.start()
-        self.kernel.sim.run(until=until, max_steps=max_steps)
-        return self.finalize()
-
     def finalize(self) -> MveeResult:
         if self.monitor_failures:
             primary = self.monitor_failures[0]
@@ -258,22 +416,7 @@ class ReMon:
                         "additional monitor failure: %r" % (extra,)
                     )
             raise primary
-        for process in self.group.processes:
-            if process.quarantined:
-                # A quarantined replica was killed mid-flight by design;
-                # whatever its guest task raised *is* the absorbed fault.
-                continue
-            for thread in process.threads.values():
-                task = thread.task
-                if task is not None and task.failure is not None:
-                    raise task.failure
-        result = self.result
-        result.exit_codes = [p.exit_code for p in self.group.processes]
-        result.wall_time_ns = (
-            self.master_exit_ns
-            if self.master_exit_ns is not None
-            else self.kernel.sim.now
-        )
+        result = self._settle()
         result.monitored_calls = self.ghumvee.stats["monitored_calls"]
         if self.ipmon is not None:
             result.unmonitored_calls = self.ipmon.stats["unmonitored_calls"]
@@ -289,18 +432,7 @@ class ReMon:
             registry.ingest("ipmon_", self.ipmon.stats, source="ipmon")
         if self.rr_agent is not None:
             registry.ingest("rr_", self.rr_agent.stats, source="rr")
-        injector = getattr(self.kernel, "fault_injector", None)
-        registry.expose(
-            "faults_injected",
-            injector.total_injected if injector is not None else 0,
-        )
-        registry.expose(
-            "replicas_quarantined",
-            self.degradation_stats["replicas_quarantined"],
-        )
-        registry.expose(
-            "master_promotions", self.degradation_stats["master_promotions"]
-        )
+        self._expose_degradation(registry)
         registry.expose(
             "rb_backoff_retries",
             self.ipmon.stats.get("rb_backoff_retries", 0)
@@ -343,28 +475,13 @@ class ReMon:
         if postmortem is not None:
             self.result.postmortems.append(postmortem)
 
-    def divergence(self, report: DivergenceReport) -> None:
-        if self.shutting_down or self.result.divergence is not None:
-            return
-        self.result.divergence = report
-        self._record_postmortem("divergence", report)
-        if self.group.all_exited():
-            # Nothing left to kill, and the simulator clock may already
-            # have stopped advancing — scheduling a delayed shutdown
-            # would either be a no-op or raise for being in the past.
-            if not self.result.shutdown_reason:
-                self.result.shutdown_reason = "divergence: %s" % report.detail
-            return
-        # Detection is not teardown: the monitor must wake up and kill
-        # the replicas, which takes a ptrace round trip. Monitored calls
-        # stop being serviced immediately (GHUMVEE parks all stops once
-        # a divergence is flagged), but an unmonitored call already in
-        # flight can still complete — the §4 run-ahead window.
-        delay = self.kernel.config.costs.ptrace_roundtrip_ns()
-        reason = "divergence: %s" % report.detail
-        self.kernel.sim.call_at(
-            self.kernel.sim.now + delay, self.shutdown, reason
-        )
+    def _teardown_delay_ns(self) -> int:
+        # The monitor must wake up and kill the replicas, which takes a
+        # ptrace round trip. Monitored calls stop being serviced
+        # immediately (GHUMVEE parks all stops once a divergence is
+        # flagged), but an unmonitored call already in flight can still
+        # complete — the §4 run-ahead window.
+        return self.kernel.config.costs.ptrace_roundtrip_ns()
 
     def ipmon_divergence(self, thread, req, master_blob, own_blob) -> None:
         report = DivergenceReport(
@@ -379,25 +496,9 @@ class ReMon:
         )
         self.divergence(report)
 
-    def shutdown(self, reason: str) -> None:
-        if self.shutting_down:
-            return
-        self.shutting_down = True
-        self.result.shutdown_reason = reason
-        for process in self.group.processes:
-            if not process.exited:
-                self.kernel.terminate_process(process, 137, signo=9)
-
     # ------------------------------------------------------------------
     # Graceful degradation (config.degradation)
     # ------------------------------------------------------------------
-    def _survivors_excluding(self, process) -> List:
-        return [
-            p
-            for p in self.group.processes
-            if p is not process and not p.exited and not p.quarantined
-        ]
-
     def crash_would_degrade(self, process) -> bool:
         """Would this replica's death be absorbed (quarantined) rather
         than fail-stop the MVEE? GHUMVEE consults this before tearing
@@ -417,45 +518,11 @@ class ReMon:
             return False
         return len(self._survivors_excluding(process)) >= policy.min_quorum
 
-    def replica_fault(self, process, report: DivergenceReport) -> None:
-        """A replica crashed or stalled. Quarantine it when the policy
-        classifies the fault benign and quorum holds; otherwise take the
-        classic fail-stop path via :meth:`divergence`."""
-        if self.shutting_down or self.diverged or process.quarantined:
-            return
-        policy = self.config.degradation
-        if policy is None or policy.classify(report) != "benign":
-            self.divergence(report)
-            return
-        survivors = self._survivors_excluding(process)
-        if len(survivors) < policy.min_quorum:
-            report.detail += " [quorum lost: %d survivors < min_quorum %d]" % (
-                len(survivors),
-                policy.min_quorum,
-            )
-            self.divergence(report)
-            return
-        self.quarantine(process, report)
-
-    def quarantine(self, process, report: DivergenceReport) -> None:
-        """Remove one replica from the group and continue with N−1:
-        detach it from ptrace, release its RB lanes and lockstep slots,
-        shrink the rendezvous quorum, and promote a new master when the
-        master is the one lost (paper's fail-stop policy relaxed to a
-        quorum rule; every *mismatch* still fail-stops)."""
-        index = self.group.index_of(process)
-        was_master = index == self.group.master_index
-        policy = self.config.degradation
-        if was_master and (policy is None or not policy.promote_master):
-            self.divergence(report)
-            return
-        process.quarantined = True
-        self.result.fault_events.append(report)
-        if report.replica is None:
-            report.replica = index
-        self.result.quarantined_replicas.append(index)
-        self.degradation_stats["replicas_quarantined"] += 1
-        self._record_postmortem("quarantine", report)
+    def _quarantined(self, process, index: int, was_master: bool,
+                     report: DivergenceReport) -> None:
+        """Detach the quarantined replica from ptrace, release its RB
+        lanes and lockstep slots, shrink the rendezvous quorum, and
+        promote a new master when the master is the one lost."""
         # Promotion must precede termination: fd migration reads the
         # dying master's still-intact descriptor table.
         if was_master:
@@ -529,8 +596,3 @@ class ReMon:
                 self.master_exit_ns = self.kernel.sim.now
         if self.group.all_exited() and not self.result.shutdown_reason:
             self.result.shutdown_reason = "all replicas exited"
-
-    # ------------------------------------------------------------------
-    @property
-    def diverged(self) -> bool:
-        return self.result.diverged

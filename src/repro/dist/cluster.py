@@ -1,9 +1,10 @@
 """The distributed MVEE: N single-replica nodes on one simulated switch.
 
-:class:`DistMvee` mirrors :class:`repro.core.ReMon`'s public surface
-(``run`` → :class:`MveeResult`, ``divergence``/``replica_fault``/
-``quarantine`` events, a :class:`~repro.core.remon.ReplicaGroup` the
-fault injector binds to) but the replicas live on different simulated
+:class:`DistMvee` shares :class:`repro.core.ReMon`'s supervisor
+(:class:`~repro.core.remon.ReplicaSupervisor`: ``run`` →
+:class:`MveeResult`, the ``divergence``/``replica_fault``/``quarantine``
+events, a :class:`~repro.core.remon.ReplicaGroup` the fault injector
+binds to) but the replicas live on different simulated
 machines: each node owns a full kernel and filesystem image, all nodes
 share one discrete-event clock and one :class:`Network`, and monitor
 traffic rides the batched :class:`~repro.dist.transport.Transport`.
@@ -30,12 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.epoll_map import EpollShadowMap
 from repro.core.events import DivergenceReport, MveeResult
 from repro.core.handlers import build_handler_table
 from repro.core.policies import Level
-from repro.core.remon import ReMonConfig, ReplicaGroup
-from repro.obs import Obs
+from repro.core.remon import ReMonConfig, ReplicaSupervisor
 from repro.dist.node import DistInterceptor, Node, ReplicaView
 from repro.dist.selective import (
     CLS_CONTROL,
@@ -53,7 +52,6 @@ from repro.dist.transport import CODECS, Transport
 from repro.dist.wire import (
     Frame,
     T_CALL_DIGEST,
-    T_CONTROL,
     T_LIFECYCLE_GOSSIP,
     T_LIFECYCLE_STATE,
     T_RENDEZVOUS_OK,
@@ -134,9 +132,6 @@ class DistConfig:
     #: loss/dup/reorder go through ``LinkDegradeFault``, which arms it
     #: too.
     link_loss_prob: float = 0.0
-    #: Observability (repro.obs.ObsConfig). None falls back to
-    #: ``ReMonConfig.obs``, then to metrics-only defaults.
-    obs: Optional[object] = None
     #: External-service mode (repro.fleet): the replicated program
     #: serves clients that live *outside* the cluster and reach the
     #: leader's node only. accept() executes leader-only with followers
@@ -574,8 +569,11 @@ class DistMonitor:
             )
 
 
-class DistMvee:
+class DistMvee(ReplicaSupervisor):
     """An MVEE whose replicas run on separate simulated nodes.
+
+    The replica-fault policy (divergence, quarantine, promotion) is
+    :class:`~repro.core.remon.ReplicaSupervisor`'s, shared with ReMon.
 
     Typical use::
 
@@ -585,8 +583,8 @@ class DistMvee:
 
     def __init__(self, program: Program, config: Optional[ReMonConfig] = None):
         self.program = program
-        self.config = config or ReMonConfig(dist=DistConfig())
-        dconfig = self.config.dist
+        config = config or ReMonConfig(dist=DistConfig())
+        dconfig = config.dist
         if dconfig is None:
             dconfig = DistConfig()
         if not isinstance(dconfig, DistConfig):
@@ -599,9 +597,10 @@ class DistMvee:
                 "DistConfig.compress must be None or one of %r, got %r"
                 % (CODECS, dconfig.compress)
             )
-        self.n = dconfig.nodes if dconfig.nodes is not None else self.config.replicas
+        self.n = dconfig.nodes if dconfig.nodes is not None else config.replicas
         if self.n < 1:
             raise MonitorError("a distributed MVEE needs at least one node")
+        super().__init__(config, Simulator(cores=NODE_CORES * self.n), self.n)
         self.solo = self.n == 1
         self.policy = self.config.policy()
         self.replication = dconfig.replication
@@ -620,11 +619,6 @@ class DistMvee:
                 self.replication.external = True
                 self.replication._memo.clear()
         self.handlers = build_handler_table(self.policy.unmonitored_set())
-        self.group = ReplicaGroup()
-        self.epoll_map = EpollShadowMap(self.n)
-        self.result = MveeResult()
-        self.shutting_down = False
-        self.master_exit_ns: Optional[int] = None
         self.stats = {
             "local_calls": 0,
             "replicated_calls": 0,
@@ -637,24 +631,12 @@ class DistMvee:
             "failover_rebroadcasts": 0,
             "control_frames": 0,
         }
-        self.degradation_stats = {
-            "replicas_quarantined": 0,
-            "master_promotions": 0,
-        }
         #: Soft link degradation (circuit breaker) accounting; folded
         #: into the stats view only when the transport runs reliable.
         self.wan_stats = {"link_degrades": 0, "link_restores": 0}
         #: victim index -> set of (src, dst) links currently open against
         #: it; the victim is restored only when the set drains.
         self._down_links: Dict[int, set] = {}
-        self.sim = Simulator(cores=NODE_CORES * self.n)
-        self.obs = Obs.create(
-            dconfig.obs if dconfig.obs is not None
-            else getattr(self.config, "obs", None),
-            self.sim,
-        )
-        if self.obs.tracer.enabled and self.sim.trace_sink is None:
-            self.sim.trace_sink = self.obs.tracer
         self.network = Network(
             latency_ns=dconfig.link_latency_ns,
             bandwidth_bps=LINK_BANDWIDTH_BPS,
@@ -678,11 +660,7 @@ class DistMvee:
         #: repro.lifecycle at module level.
         self.lifecycle = None
         lconfig = dconfig.lifecycle
-        if (
-            lconfig is not None
-            and getattr(lconfig, "enabled", True)
-            and not self.solo
-        ):
+        if lconfig is not None and not self.solo:
             from repro.lifecycle.manager import LifecycleManager
 
             self.lifecycle = LifecycleManager(self, lconfig)
@@ -691,10 +669,6 @@ class DistMvee:
     @property
     def leader_index(self) -> int:
         return self.group.master_index
-
-    @property
-    def diverged(self) -> bool:
-        return self.result.diverged
 
     # ------------------------------------------------------------------
     # Construction
@@ -968,25 +942,8 @@ class DistMvee:
         if self.lifecycle is not None:
             self.lifecycle.start()
 
-    def run(self, until: Optional[int] = None,
-            max_steps: Optional[int] = None) -> MveeResult:
-        self.start()
-        self.sim.run(until=until, max_steps=max_steps)
-        return self.finalize()
-
     def finalize(self) -> MveeResult:
-        for node in self.nodes:
-            if node.process.quarantined:
-                continue
-            for thread in node.process.threads.values():
-                task = thread.task
-                if task is not None and task.failure is not None:
-                    raise task.failure
-        result = self.result
-        result.exit_codes = [node.process.exit_code for node in self.nodes]
-        result.wall_time_ns = (
-            self.master_exit_ns if self.master_exit_ns is not None else self.sim.now
-        )
+        result = self._settle()
         result.monitored_calls = self.stats["rendezvous_calls"]
         result.unmonitored_calls = (
             self.stats["local_calls"]
@@ -1058,18 +1015,7 @@ class DistMvee:
                 registry.expose("dist_" + key, tstats[key])
         for cls, count in sorted(self.transport.frames_dropped_by_class.items()):
             registry.expose("dist_frames_dropped_" + cls, count)
-        registry.expose(
-            "replicas_quarantined",
-            self.degradation_stats["replicas_quarantined"],
-        )
-        registry.expose(
-            "master_promotions", self.degradation_stats["master_promotions"]
-        )
-        injector = getattr(self.nodes[0].kernel, "fault_injector", None)
-        registry.expose(
-            "faults_injected",
-            injector.total_injected if injector is not None else 0,
-        )
+        self._expose_degradation(registry)
         if self.dconfig.heterogeneous:
             # Diversity accounting exists only under per-node profiles:
             # homogeneous runs keep a stats view bit-identical to the
@@ -1122,31 +1068,15 @@ class DistMvee:
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def divergence(self, report: DivergenceReport) -> None:
-        if self.shutting_down or self.result.divergence is not None:
-            return
-        self.result.divergence = report
-        self._record_postmortem("divergence", report)
-        if self.group.all_exited():
-            if not self.result.shutdown_reason:
-                self.result.shutdown_reason = "divergence: %s" % report.detail
-            return
+    def _teardown_delay_ns(self) -> int:
         # Teardown is not instantaneous across machines: the kill
         # messages ride the network.
-        delay = self.dconfig.link_latency_ns + self._costs().dist_msg_syscall_ns
-        self.sim.call_at(
-            self.sim.now + delay, self.shutdown, "divergence: %s" % report.detail
-        )
+        return self.dconfig.link_latency_ns + self._costs().dist_msg_syscall_ns
 
     def shutdown(self, reason: str) -> None:
-        if self.shutting_down:
-            return
-        self.shutting_down = True
-        self.result.shutdown_reason = reason
-        for node in self.nodes:
-            if not node.process.exited:
-                node.kernel.terminate_process(node.process, 137, signo=9)
-        self._wake_everyone()
+        if not self.shutting_down:
+            super().shutdown(reason)
+            self._wake_everyone()
 
     def _costs(self):
         return self.nodes[0].kernel.config.costs
@@ -1189,12 +1119,6 @@ class DistMvee:
             )
 
     def _handle_crash(self, node: Node, code: int) -> None:
-        if (
-            self.shutting_down
-            or self.diverged
-            or node.process.quarantined
-        ):
-            return
         self.replica_fault(
             node.process,
             DivergenceReport(
@@ -1300,44 +1224,8 @@ class DistMvee:
         # The restored node's vote is required again from here on.
         self.monitor.on_membership_change()
 
-    def _survivors_excluding(self, process) -> List:
-        return [
-            p
-            for p in self.group.processes
-            if p is not process and not p.exited and not p.quarantined
-        ]
-
-    def replica_fault(self, process, report: DivergenceReport) -> None:
-        if self.shutting_down or self.diverged or process.quarantined:
-            return
-        policy = self.config.degradation
-        if policy is None or policy.classify(report) != "benign":
-            self.divergence(report)
-            return
-        survivors = self._survivors_excluding(process)
-        if len(survivors) < policy.min_quorum:
-            report.detail += " [quorum lost: %d survivors < min_quorum %d]" % (
-                len(survivors),
-                policy.min_quorum,
-            )
-            self.divergence(report)
-            return
-        self.quarantine(process, report)
-
-    def quarantine(self, process, report: DivergenceReport) -> None:
-        index = self.group.index_of(process)
-        was_leader = index == self.group.master_index
-        policy = self.config.degradation
-        if was_leader and (policy is None or not policy.promote_master):
-            self.divergence(report)
-            return
-        process.quarantined = True
-        self.result.fault_events.append(report)
-        self.result.quarantined_replicas.append(index)
-        if report.replica is None:
-            report.replica = index
-        self._record_postmortem("quarantine", report)
-        self.degradation_stats["replicas_quarantined"] += 1
+    def _quarantined(self, process, index: int, was_leader: bool,
+                     report: DivergenceReport) -> None:
         # Every quarantine opens a new ownership epoch: in-flight frames
         # from the old epoch become rejectable, waiting participants
         # observe the bump and re-collect rounds the dead shard lost.

@@ -228,6 +228,15 @@ class DistInterceptor:
         vtid = thread.vtid
         seq = self._seq.get(vtid, 0)
         self._seq[vtid] = seq + 1
+        if node.replaying and node.replay_cursor >= len(node.replay_plan):
+            # The recorded window is used up: every later artifact is
+            # live, so hand off to the live lanes and their uniform
+            # release-order wake. Adopting a post-snapshot verdict from
+            # the mirror at per-thread speed would let this node's fd
+            # allocation interleave differently from its peers'.
+            node.replaying = False
+            if node.rejoining:
+                mvee.lifecycle.reach_frontier(node)
         if node.replaying:
             # Re-admission fast-replay: adopt recorded artifacts at
             # lifecycle_replay_ns each (no digest, no round trip). A
@@ -266,7 +275,9 @@ class DistInterceptor:
         handler = mvee.handlers.get(req.name)
         view = node.view
         if mvee.external and req.name in sel.EXTERNAL_LEADER_CALLS:
-            result = yield from self._external_accept(thread, req, seq, digest)
+            result = yield from self._rendezvous(
+                thread, req, seq, digest, execute=self._external_accept
+            )
             return result
         if handler is None or handler.maybe_checked(view, req):
             result = yield from self._rendezvous(thread, req, seq, digest)
@@ -313,8 +324,7 @@ class DistInterceptor:
                 return False, None
             yield from self._claim_replay_turn(thread, STATE_RECORD, vtid, seq)
             yield Sleep(costs.lifecycle_replay_ns, cpu=True)
-            if record.result >= 0:
-                self._materialize_accept(thread, req, record)
+            self._materialize_accept(thread, req, record)
             node.mirror.consume(vtid, seq)
             lifecycle.stats["replayed_records"] += 1
             self._finish_replay_turn()
@@ -472,7 +482,6 @@ class DistInterceptor:
     # -- replicated lane ---------------------------------------------------
     def _lead_replicated(self, thread, req, seq, digest, cls, handler, view):
         mvee, node = self.mvee, self.node
-        costs = node.kernel.config.costs
         mvee.stats["replicated_calls"] += 1
         mvee.monitor.record_reference(thread.vtid, seq, req.name, digest)
         # Replica-local bookkeeping before execution (EpollCtlHandler
@@ -486,56 +495,20 @@ class DistInterceptor:
         if not isinstance(result, int):
             return result
         payload = handler.collect_results(view, req, result)
-        frame = Frame(
-            T_SYSCALL_RESULT, node.index, thread.vtid, seq,
-            aux=result, payload=payload,
-        )
-        # dMVX's copy-to-transfer-unit tax: the leader's critical path
-        # pays the RB write plus the frame encode for every replicated
-        # call — the term selective replication exists to shrink. With
-        # compression on it also pays the codec scan over the raw bytes
-        # (the CPU side of the bytes-vs-CPU trade).
-        encode_ns = costs.rb_write_base_ns + costs.dist_frame_cost_ns(frame.size())
-        if mvee.dconfig.compress is not None and payload:
-            encode_ns += costs.dist_compress_cost_ns(len(payload))
-        yield Sleep(encode_ns, cpu=True)
-        sim = node.kernel.sim
-        record = RemoteRecord(result, payload, req.name)
-        node.mirror.put(thread.vtid, seq, record, sim)
-        if mvee.lifecycle is not None:
-            mvee.lifecycle.record_result(thread.vtid, seq, record)
-        for peer in mvee.live_peers(node.index):
-            mvee.send_frame(
-                node.index, peer, frame, cls=sel.CLS_RESULT_PREFIX + cls
-            )
-        # Scheduled delivery (same discipline as rendezvous releases):
-        # the record becomes visible on every follower at ONE instant,
-        # one release lag out, regardless of how batching staggered the
-        # physical frames — urgent flushes on one channel must not let
-        # that follower wake earlier than its peers.
-        mvee.sim.call_at(
-            sim.now + mvee.release_lag_ns(), self._mirror_peers,
-            thread.vtid, seq, record,
-        )
+        yield from self._ship(thread, req, seq, result, payload, cls,
+                              codec=mvee.dconfig.compress is not None)
         return result
-
-    def _mirror_peers(self, vtid, seq, record):
-        """Land one replicated record in every live peer's mirror (the
-        scheduled-delivery instant; membership is read at fire time)."""
-        mvee, node = self.mvee, self.node
-        for peer in mvee.live_peers(node.index):
-            mvee.nodes[peer].mirror.put(vtid, seq, record, mvee.sim)
 
     def _follow_replicated(self, thread, req, seq, digest, cls, handler, view):
         mvee, node = self.mvee, self.node
-        costs = node.kernel.config.costs
-        sim = node.kernel.sim
-        dcfg = mvee.dconfig
         digest_frame = Frame(
             T_CALL_DIGEST, node.index, thread.vtid, seq,
             payload=digest_payload(digest, req.name),
         )
-        yield Sleep(costs.dist_frame_cost_ns(digest_frame.size()), cpu=True)
+        yield Sleep(
+            node.kernel.config.costs.dist_frame_cost_ns(digest_frame.size()),
+            cpu=True,
+        )
         mvee.send_frame(
             node.index, mvee.leader_index, digest_frame, cls=sel.CLS_DIGEST
         )
@@ -545,41 +518,107 @@ class DistInterceptor:
         observe = getattr(handler, "observe", None)
         if observe is not None:
             observe(view, req)
-        deadline = sim.now + dcfg.stall_timeout_ns
+        result = yield from self._await_record(
+            thread, req, seq, "replicated result",
+            codec=mvee.dconfig.compress is not None,
+            adopt=lambda record: handler.apply_results(
+                view, req, record.result, record.payload
+            ),
+            # Promoted mid-wait: the old leader died before shipping
+            # this record and nobody holds it — execute as leader.
+            promoted=lambda: self._lead_replicated(
+                thread, req, seq, digest, cls, handler, view
+            ),
+        )
+        return result
+
+    # -- leader-executed results: one ship/await path ----------------------
+    def _ship(self, thread, req, seq, result, payload, cls, codec):
+        """Publish one leader-executed result to every follower: bill the
+        encode, put it in the local mirror and the lifecycle window,
+        send the frames, and schedule the followers' delivery.
+
+        This is dMVX's copy-to-transfer-unit tax: the leader's critical
+        path pays the RB write plus the frame encode for every shipped
+        result — the term selective replication exists to shrink. With
+        ``codec`` it also pays the codec scan over the raw bytes (the
+        CPU side of the bytes-vs-CPU trade); only the replicated lane
+        compresses, so external accepts ship uncoded."""
+        mvee, node = self.mvee, self.node
+        costs = node.kernel.config.costs
+        sim = mvee.sim
+        vtid = thread.vtid
+        frame = Frame(
+            T_SYSCALL_RESULT, node.index, vtid, seq,
+            aux=result, payload=payload,
+        )
+        encode_ns = costs.rb_write_base_ns + costs.dist_frame_cost_ns(frame.size())
+        if codec and payload:
+            encode_ns += costs.dist_compress_cost_ns(len(payload))
+        yield Sleep(encode_ns, cpu=True)
+        record = RemoteRecord(result, payload, req.name)
+        node.mirror.put(vtid, seq, record, sim)
+        if mvee.lifecycle is not None:
+            mvee.lifecycle.record_result(vtid, seq, record)
+        for peer in mvee.live_peers(node.index):
+            mvee.send_frame(
+                node.index, peer, frame, cls=sel.CLS_RESULT_PREFIX + cls
+            )
+        # Scheduled delivery (same discipline as rendezvous releases):
+        # the record becomes visible on every follower at ONE instant,
+        # one release lag out, regardless of how batching staggered the
+        # physical frames — urgent flushes on one channel must not let
+        # that follower wake earlier than its peers.
+        sim.call_at(
+            sim.now + mvee.release_lag_ns(), self._mirror_peers,
+            vtid, seq, record,
+        )
+
+    def _await_record(self, thread, req, seq, what, codec, adopt, promoted):
+        """A follower's wait for the leader's shipped result.
+
+        Once the record lands, bill the adoption copy (plus the codec
+        expansion with ``codec``), ``adopt(record)`` it and return its
+        result. A torn-down node parks; a node promoted to leader
+        mid-wait returns whatever ``promoted()`` (a coroutine) returns.
+        Past the stall deadline the leader is reported to the watchdog.
+        """
+        mvee, node = self.mvee, self.node
+        costs = node.kernel.config.costs
+        sim = mvee.sim
+        vtid = thread.vtid
+        stall_ns = mvee.dconfig.stall_timeout_ns
+        deadline = sim.now + stall_ns
         backoff = BACKOFF_INITIAL_NS
         while True:
-            record = node.mirror.get(thread.vtid, seq)
+            record = node.mirror.get(vtid, seq)
             if record is not None:
                 adopt_ns = (
                     costs.rb_read_base_ns + costs.rb_copy_ns(len(record.payload))
                 )
-                if mvee.dconfig.compress is not None and record.payload:
+                if codec and record.payload:
                     # Codec expansion happens on the adoption copy path.
                     adopt_ns += costs.dist_decompress_cost_ns(len(record.payload))
                 yield Sleep(adopt_ns, cpu=True)
-                handler.apply_results(view, req, record.result, record.payload)
-                node.mirror.consume(thread.vtid, seq)
+                adopt(record)
+                node.mirror.consume(vtid, seq)
                 mvee.stats["adopted_results"] += 1
                 return record.result
             if mvee.shutting_down or node.process.exited or node.process.quarantined:
                 result = yield from mvee.park(thread)
                 return result
             if node.index == mvee.leader_index:
-                # Promoted mid-wait: the old leader died before shipping
-                # this record and nobody holds it — execute as leader.
                 mvee.stats["promoted_executions"] += 1
-                result = yield from self._lead_replicated(
-                    thread, req, seq, digest, cls, handler, view
-                )
+                result = yield from promoted()
                 return result
             if sim.now >= deadline:
                 mvee.report_stall(
                     node, thread, req,
                     blame=mvee.leader_index,
-                    detail="no replicated result for %s after %d ns"
-                    % (req.name, dcfg.stall_timeout_ns),
+                    detail="no %s for %s after %d ns"
+                    % (what, req.name, stall_ns),
                 )
-                deadline = sim.now + dcfg.stall_timeout_ns
+                deadline = sim.now + stall_ns
                 continue
             event = node.mirror.waitq.register()
             status, _ = yield from wait_interruptible(
@@ -591,24 +630,19 @@ class DistInterceptor:
             mvee.stats["backoff_retries"] += 1
             backoff = min(backoff * 2, BACKOFF_MAX_NS)
 
-    # -- rendezvous lane ---------------------------------------------------
-    def _rendezvous(self, thread, req, seq, digest):
+    def _mirror_peers(self, vtid, seq, record):
+        """Land one replicated record in every live peer's mirror (the
+        scheduled-delivery instant; membership is read at fire time)."""
         mvee, node = self.mvee, self.node
-        costs = node.kernel.config.costs
-        verdict = yield from self._rendezvous_sync(thread, req, seq, digest)
-        if verdict != 1:
-            result = yield from mvee.park(thread)
-            return result
-        yield Sleep(costs.dist_rendezvous_service_ns + mvee.obs.dispatch_cost_ns,
-                    cpu=True)
-        result = yield from node.kernel.invoke(thread, req)
-        return result
+        for peer in mvee.live_peers(node.index):
+            mvee.nodes[peer].mirror.put(vtid, seq, record, mvee.sim)
 
-    def _rendezvous_sync(self, thread, req, seq, digest):
-        """The lockstep half of a rendezvous: submit the argument digest
-        to the round's owner and wait for the verdict. Callers decide
-        what execution follows agreement (all-nodes for the normal lane,
-        leader-only for external accepts)."""
+    # -- rendezvous lane ---------------------------------------------------
+    def _rendezvous(self, thread, req, seq, digest, execute=None):
+        """Submit the argument digest to the round's owner, wait for the
+        verdict, and on agreement run ``execute(thread, req, seq)`` —
+        by default every node executes the call against its own kernel
+        (external accepts pass the leader-only lane instead)."""
         mvee, node = self.mvee, self.node
         costs = node.kernel.config.costs
         vtid = thread.vtid
@@ -653,7 +687,16 @@ class DistInterceptor:
         )
         if span is not None:
             span.finish(verdict=verdict)
-        return verdict
+        if verdict != 1:
+            result = yield from mvee.park(thread)
+            return result
+        yield Sleep(costs.dist_rendezvous_service_ns + mvee.obs.dispatch_cost_ns,
+                    cpu=True)
+        if execute is None:
+            result = yield from node.kernel.invoke(thread, req)
+        else:
+            result = yield from execute(thread, req, seq)
+        return result
 
     def _await_verdict(self, thread, req, vtid, seq, digest):
         mvee, node = self.mvee, self.node
@@ -755,8 +798,9 @@ class DistInterceptor:
             backoff = min(backoff * 2, BACKOFF_MAX_NS)
 
     # -- external-service accept lane --------------------------------------
-    def _external_accept(self, thread, req, seq, digest):
-        """accept(2) on an externally-reachable listener (repro.fleet).
+    def _external_accept(self, thread, req, seq):
+        """accept(2) on an externally-reachable listener (repro.fleet),
+        once its rendezvous agreed.
 
         The call keeps the lockstep half of the rendezvous lane — every
         node submits its argument digest and waits for agreement, so a
@@ -770,15 +814,6 @@ class DistInterceptor:
         call on the connection.
         """
         mvee, node = self.mvee, self.node
-        costs = node.kernel.config.costs
-        sim = node.kernel.sim
-        vtid = thread.vtid
-        verdict = yield from self._rendezvous_sync(thread, req, seq, digest)
-        if verdict != 1:
-            result = yield from mvee.park(thread)
-            return result
-        yield Sleep(costs.dist_rendezvous_service_ns + mvee.obs.dispatch_cost_ns,
-                    cpu=True)
         if node.index == mvee.leader_index:
             result = yield from node.kernel.invoke(thread, req)
             if not isinstance(result, int):
@@ -788,77 +823,27 @@ class DistInterceptor:
                 payload = bytes(
                     node.process.space.read(req.arg(1), SOCKADDR_SIZE)
                 )
-            frame = Frame(
-                T_SYSCALL_RESULT, node.index, vtid, seq,
-                aux=result, payload=payload,
-            )
-            encode_ns = (
-                costs.rb_write_base_ns + costs.dist_frame_cost_ns(frame.size())
-            )
-            yield Sleep(encode_ns, cpu=True)
-            record = RemoteRecord(result, payload, req.name)
-            node.mirror.put(vtid, seq, record, sim)
-            if mvee.lifecycle is not None:
-                mvee.lifecycle.record_result(vtid, seq, record)
-            for peer in mvee.live_peers(node.index):
-                mvee.send_frame(
-                    node.index, peer, frame, cls=sel.CLS_RESULT_PREFIX + "sock"
-                )
-            mvee.sim.call_at(
-                sim.now + mvee.release_lag_ns(), self._mirror_peers,
-                vtid, seq, record,
-            )
+            yield from self._ship(thread, req, seq, result, payload, "sock",
+                                  codec=False)
             return result
-        # Follower: wait for the leader's record, then adopt the fd.
-        dcfg = mvee.dconfig
-        deadline = sim.now + dcfg.stall_timeout_ns
-        backoff = BACKOFF_INITIAL_NS
-        while True:
-            record = node.mirror.get(vtid, seq)
-            if record is not None:
-                yield Sleep(
-                    costs.rb_read_base_ns + costs.rb_copy_ns(len(record.payload)),
-                    cpu=True,
-                )
-                if record.result >= 0:
-                    self._materialize_accept(thread, req, record)
-                node.mirror.consume(vtid, seq)
-                mvee.stats["adopted_results"] += 1
-                return record.result
-            if mvee.shutting_down or node.process.exited or node.process.quarantined:
-                result = yield from mvee.park(thread)
-                return result
-            if node.index == mvee.leader_index:
-                # Promoted mid-wait: nobody will ship the record. The
-                # new leader's own listener is idle (external clients
-                # still target the old address), so executing locally
-                # yields a harmless EAGAIN and the guest retries.
-                mvee.stats["promoted_executions"] += 1
-                result = yield from node.kernel.invoke(thread, req)
-                return result
-            if sim.now >= deadline:
-                mvee.report_stall(
-                    node, thread, req,
-                    blame=mvee.leader_index,
-                    detail="no adopted accept result for %s after %d ns"
-                    % (req.name, dcfg.stall_timeout_ns),
-                )
-                deadline = sim.now + dcfg.stall_timeout_ns
-                continue
-            event = node.mirror.waitq.register()
-            status, _ = yield from wait_interruptible(
-                thread, event,
-                timeout_ns=min(backoff, max(1, deadline - sim.now)),
-            )
-            if status != "fired":
-                node.mirror.waitq.unregister(event)
-            mvee.stats["backoff_retries"] += 1
-            backoff = min(backoff * 2, BACKOFF_MAX_NS)
+        result = yield from self._await_record(
+            thread, req, seq, "adopted accept result", codec=False,
+            adopt=lambda record: self._materialize_accept(thread, req, record),
+            # Promoted mid-wait: nobody will ship the record. The new
+            # leader's own listener is idle (external clients still
+            # target the old address), so executing locally yields a
+            # harmless EAGAIN and the guest retries.
+            promoted=lambda: node.kernel.invoke(thread, req),
+        )
+        return result
 
     def _materialize_accept(self, thread, req, record):
-        """Install a phantom connection fd mirroring the leader's."""
+        """Install a phantom connection fd mirroring the leader's (a
+        failed accept has nothing to mirror)."""
         from repro.core.events import DivergenceReport
 
+        if record.result < 0:
+            return
         mvee, node = self.mvee, self.node
         process = node.process
         sock = AdoptedSocket(

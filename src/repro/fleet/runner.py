@@ -99,12 +99,11 @@ def run_fleet(config: FleetConfig) -> FleetResult:
         external_service=True,
         link_latency_ns=config.link_latency_ns,
         replication=fleet_replication(full=config.replication == "full"),
-        obs=config.obs,
     )
     mvee = DistMvee(
         spec.program(),
         ReMonConfig(replicas=config.nodes, level=Level.SOCKET_RW,
-                    dist=dconfig),
+                    dist=dconfig, obs=config.obs),
     )
     registry = mvee.obs.registry
     accept_hist = registry.histogram("fleet_accept_wait_ns")

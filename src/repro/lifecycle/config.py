@@ -29,10 +29,8 @@ from repro.errors import PolicyError
 
 @dataclass
 class LifecycleConfig:
-    """Tuning for gossip membership, re-admission, and auto-scaling."""
-
-    #: Master switch; False behaves exactly like no config at all.
-    enabled: bool = True
+    """Tuning for gossip membership, re-admission, and auto-scaling.
+    ``DistConfig.lifecycle=None`` is the off switch."""
 
     # -- gossip membership + heartbeats -------------------------------
     #: Arm the SWIM-style heartbeat/suspicion protocol. When armed it

@@ -24,12 +24,12 @@ def mixed_program(exit_code=5):
     return Program("mixed", main, files={"/data/input.txt": b"same bytes"})
 
 
-def run_dist(program, obs=None, dist_obs=None, replicas=3, **dist_kwargs):
+def run_dist(program, obs=None, replicas=3, **dist_kwargs):
     config = ReMonConfig(
         replicas=replicas,
         level=Level.NONSOCKET_RW,
         obs=obs,
-        dist=DistConfig(obs=dist_obs, **dist_kwargs),
+        dist=DistConfig(**dist_kwargs),
     )
     mvee = DistMvee(program, config)
     result = mvee.run(max_steps=MAX_STEPS)
@@ -39,7 +39,7 @@ def run_dist(program, obs=None, dist_obs=None, replicas=3, **dist_kwargs):
 class TestStatsCompatibility:
     def test_stats_and_wall_time_unchanged_by_metrics_only_obs(self):
         _, base = run_dist(mixed_program())
-        _, metrics = run_dist(mixed_program(), dist_obs=ObsConfig())
+        _, metrics = run_dist(mixed_program(), obs=ObsConfig())
         assert not base.diverged and not metrics.diverged
         assert metrics.stats == base.stats
         assert metrics.wall_time_ns == base.wall_time_ns
@@ -48,12 +48,12 @@ class TestStatsCompatibility:
         _, base = run_dist(mixed_program())
         _, traced = run_dist(
             mixed_program(),
-            dist_obs=ObsConfig(spans=True, flight_recorder=True),
+            obs=ObsConfig(spans=True, flight_recorder=True),
         )
         assert not traced.diverged, traced.divergence
         assert set(traced.stats) == set(base.stats)
 
-    def test_remon_obs_config_is_the_fallback(self):
+    def test_remon_obs_config_drives_dist_tracing(self):
         mvee, result = run_dist(mixed_program(), obs=ObsConfig(spans=True))
         assert not result.diverged
         assert mvee.obs.tracer.enabled
@@ -62,7 +62,7 @@ class TestStatsCompatibility:
 
 class TestDistInstrumentation:
     def test_wait_histograms_populate_without_spans(self):
-        mvee, result = run_dist(mixed_program(), dist_obs=ObsConfig())
+        mvee, result = run_dist(mixed_program(), obs=ObsConfig())
         assert not result.diverged
         hists = mvee.obs.registry.histograms
         assert hists["dist_rendezvous_wait_ns"].count > 0
@@ -72,7 +72,7 @@ class TestDistInstrumentation:
 
     def test_spans_cover_dist_and_transport_choke_points(self):
         mvee, result = run_dist(
-            mixed_program(), dist_obs=ObsConfig(spans=True), compress="rle"
+            mixed_program(), obs=ObsConfig(spans=True), compress="rle"
         )
         assert not result.diverged
         events = mvee.obs.tracer.events
@@ -101,7 +101,7 @@ class TestDistPostmortem:
         )
         mvee, result = run_dist(
             program, replicas=2,
-            dist_obs=ObsConfig(flight_recorder=True, ring_size=16),
+            obs=ObsConfig(flight_recorder=True, ring_size=16),
         )
         assert result.diverged
         postmortem = result.postmortem
